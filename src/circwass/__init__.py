@@ -46,7 +46,6 @@ from .transport import (
     shift_cost,
     w1_cdf_search,
     w1_grid,
-    wp_bruteforce,
     wp_discrete,
     wp_general,
 )

@@ -145,10 +145,6 @@ class DiscreteCircularDist:
         c[-1] = 1.0
         return c
 
-    def is_equal_weight(self, n: int | None = None) -> bool:
-        m = self.size if n is None else n
-        return self.size == m and np.allclose(self.weights, 1.0 / m, rtol=0, atol=1e-12)
-
 
 def discrete_from_sample(sample: CircularSample) -> DiscreteCircularDist:
     """Empirical distribution: atoms at sample points, weight 1/n (duplicates merged)."""

@@ -59,7 +59,9 @@ def build_parser() -> _Parser:
     p.add_argument("b")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument(
-        "--method", choices=("auto", "equal", "general", "grid"), default="auto"
+        "--method", choices=("auto", "equal", "general", "grid"), default="auto",
+        help="at p = 1 all but grid are exact for any sizes and tied angles; "
+        "for p > 1 equal needs equal sizes and auto picks by size",
     )
     p.add_argument("--grid-size", type=int, default=1024)
 
@@ -106,11 +108,11 @@ def _cmd_dist(args) -> int:
     method = args.method
     if method == "auto":
         method = "equal" if sa.n == sb.n else "general"
-    da, db = discrete_from_sample(sa), discrete_from_sample(sb)
     if method == "equal":
-        val = wp_discrete(da, db, args.p)
+        # the raw samples keep tied angles as separate equal-weight atoms
+        val = wp_discrete(sa, sb, args.p)
     elif method == "general":
-        val = wp_general(da, db, args.p)
+        val = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), args.p)
     else:
         if args.p != 1.0:
             raise ValueError("grid method requires p = 1")

@@ -1,7 +1,7 @@
 """Derivative-free optimization and selection primitives.
 
 Contains the 1-D convex search used by the transport formulas, worst-case
-linear-time selection (median of medians), Powell's direction-set method
+linear-time selection (numpy's introselect), Powell's direction-set method
 with periodic-dimension support, and rand/1/bin differential evolution.
 """
 
@@ -99,43 +99,18 @@ def convex_min_1d(f, lo: float, hi: float, tol: float = 1e-10):
     return best_x, best_f
 
 
-def _mom_select(vals: np.ndarray, k: int) -> float:
-    # median-of-medians with groups of 5; worst-case linear comparisons
-    # (small inputs fall back to sorting, which caps the recursion depth)
-    while True:
-        n = vals.size
-        if n <= 64:
-            return float(np.sort(vals)[k])
-        full = n - n % 5
-        medians = np.sort(vals[:full].reshape(-1, 5), axis=1)[:, 2]
-        if n % 5:
-            tail = np.sort(vals[full:])
-            medians = np.concatenate([medians, tail[(tail.size - 1) // 2 : (tail.size - 1) // 2 + 1]])
-        pivot = _mom_select(medians, (medians.size - 1) // 2)
-        lt = vals[vals < pivot]
-        n_lt = lt.size
-        n_eq = int(np.count_nonzero(vals == pivot))
-        if k < n_lt:
-            vals = lt
-        elif k < n_lt + n_eq:
-            return pivot
-        else:
-            k -= n_lt + n_eq
-            vals = vals[vals > pivot]
-
-
 def select_kth(values, k: int, use_sort: bool = False) -> float:
     """k-th smallest element (0-based) without mutating the input.
 
-    Median-of-medians by default; ``use_sort`` switches to a sorting
-    fallback kept for differential testing.
+    numpy's introselect (``np.partition``, worst-case linear) by default;
+    ``use_sort`` switches to a sorting fallback kept for differential testing.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if not 0 <= k < vals.size:
         raise ValueError("k out of range")
     if use_sort:
         return float(np.sort(vals)[k])
-    return _mom_select(vals.copy(), k)
+    return float(np.partition(vals, k)[k])
 
 
 def _line_search(f, x, fx, direction, box: BoxConstraints, tol: float):

@@ -1,9 +1,10 @@
 """Circular Wasserstein distances.
 
-Equal-weight distances reduce to a minimum over cyclic shifts of a sorted
-matching (non-crossing optimality); general weights go through the exact
-piecewise evaluation of the quantile-difference integral minimized over a
-CDF offset. The order-1 grid formula uses a linear-time median.
+At p = 1 every discrete distance is the exact CDF-offset formula over the
+merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
+equal-weight distances minimize over cyclic shifts of a sorted matching and
+general weights over a CDF offset. The order-1 grid formula uses a
+linear-time median.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ __all__ = [
     "grid_cdf_of",
     "shift_cost",
     "wp_discrete",
-    "wp_bruteforce",
     "w1_grid",
     "w1_cdf_search",
     "wp_general",
@@ -80,8 +80,18 @@ def grid_cdf_of(source, D: int) -> GridCdf:
     return GridCdf(np.clip(vals, 0.0, 1.0))
 
 
-def _check_equal_weight_pair(a: DiscreteCircularDist, b: DiscreteCircularDist):
-    if a.size != b.size or not a.is_equal_weight() or not b.is_equal_weight():
+def _atoms(d) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted atoms, weights); a CircularSample keeps tied angles as
+    separate atoms of weight 1/n."""
+    if isinstance(d, CircularSample):
+        return d.angles, np.full(d.n, 1.0 / d.n)
+    return d.support, d.weights
+
+
+def _check_equal_weight_pair(a, b):
+    (xa, wa), (xb, wb) = _atoms(a), _atoms(b)
+    w = np.concatenate([wa, wb])
+    if xa.size != xb.size or not np.allclose(w, 1.0 / xa.size, rtol=0, atol=1e-12):
         raise ValueError("equal-weight inputs required")
 
 
@@ -130,33 +140,45 @@ def _wp_equal_weight_arrays(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
     return cost(k_hat) ** (1.0 / p)
 
 
-def _canonical_order(xa: np.ndarray, xb: np.ndarray):
+def _canonical_order(a, b):
     # fix the argument order so W_p(a, b) == W_p(b, a) to the last bit
-    # (summation order would otherwise differ by an ulp)
-    for va, vb in zip(xa, xb):
+    # (summation order would otherwise differ by an ulp); a and b are
+    # (atoms, weights) pairs, compared lexicographically
+    for va, vb in zip(np.concatenate(a), np.concatenate(b)):
         if va < vb:
-            return xa, xb
+            return a, b
         if va > vb:
-            return xb, xa
-    return (xa, xb) if xa.size <= xb.size else (xb, xa)
+            return b, a
+    return (a, b) if a[0].size <= b[0].size else (b, a)
 
 
-def wp_discrete(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> float:
-    """W_p between equal-weight discrete circular distributions."""
+def _w1_kernel(a, b) -> float:
+    """Exact circular W_1 between (sorted atoms, weights) pairs: F_a - F_b is
+    constant between merged breakpoints, so the optimal offset is its
+    segment-length-weighted median (tied atoms give zero-length segments)."""
+    (xa, wa), (xb, wb) = _canonical_order(a, b)
+    x = np.concatenate([xa, xb])
+    order = np.argsort(x, kind="stable")
+    lengths = np.diff(np.concatenate([[0.0], x[order], [TWO_PI]]))
+    g = np.concatenate([[0.0], np.cumsum(np.concatenate([wa, -wb])[order])])
+    by_g = np.argsort(g, kind="stable")
+    cum = np.cumsum(lengths[by_g])
+    alpha = g[by_g[np.searchsorted(cum, 0.5 * cum[-1])]]
+    return float(np.sum(lengths * np.abs(g - alpha)))
+
+
+def wp_discrete(a, b, p: float) -> float:
+    """W_p between equal-weight discrete circular distributions.
+
+    Either side may be a DiscreteCircularDist or a CircularSample; a sample
+    keeps tied angles as separate atoms of weight 1/n. At p = 1 this is the
+    exact CDF-offset formula, which also holds for any sizes and weights.
+    """
+    if p == 1.0:
+        return _w1_kernel(_atoms(a), _atoms(b))
     _check_equal_weight_pair(a, b)
-    xa, xb = _canonical_order(a.support, b.support)
+    (xa, _), (xb, _) = _canonical_order(_atoms(a), _atoms(b))
     return _wp_equal_weight_arrays(xa, xb, p)
-
-
-def wp_bruteforce(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> float:
-    """O(n^2) oracle: linear scan over every cyclic shift."""
-    _check_equal_weight_pair(a, b)
-    if a.size > 512:
-        raise ValueError("brute-force oracle limited to n <= 512")
-    n = a.size
-    xa, xb = _canonical_order(a.support, b.support)
-    best = min(_shift_cost_arrays(xa, xb, k, p) for k in range(-n, n + 1))
-    return best ** (1.0 / p)
 
 
 def w1_grid(q: GridCdf, pm: GridCdf, use_sort: bool = False) -> float:
@@ -193,10 +215,6 @@ def _offset_integral(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: fl
         cuts.append(cum_b + m - alpha)
     u = np.concatenate([[0.0, 1.0]] + cuts)
     u = np.unique(u[(u >= 0.0) & (u <= 1.0)])
-    if u[0] > 0.0:
-        u = np.concatenate([[0.0], u])
-    if u[-1] < 1.0:
-        u = np.concatenate([u, [1.0]])
     mid = 0.5 * (u[:-1] + u[1:])
     lengths = np.diff(u)
     ia = np.searchsorted(cum_a, mid, side="left")
@@ -211,23 +229,29 @@ def _offset_integral(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: fl
     return float(np.sum(lengths * np.abs(diff) ** p))
 
 
+def _nearest_kink(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: float) -> float:
+    """The offset kink cumB_j - cumA_i + m, m in {-1, 0, 1}, nearest to alpha."""
+    ca, cb = a.cumweights(), b.cumweights()
+    m = np.array([-1.0, 0.0, 1.0])
+    j = np.searchsorted(cb, (alpha + ca)[:, None] - m)
+    near = np.stack([cb[np.maximum(j - 1, 0)], cb[np.minimum(j, cb.size - 1)]])
+    kinks = near - ca[:, None] + m
+    return float(kinks.flat[np.argmin(np.abs(kinks - alpha))])
+
+
 def wp_general(
     a: DiscreteCircularDist, b: DiscreteCircularDist, p: float, tol: float = 1e-12
 ) -> float:
-    """W_p for arbitrary weights: exact piecewise objective in the CDF offset,
-    minimized by convex search plus a scan of the offset kinks."""
+    """W_p for arbitrary weights. At p = 1 this is the exact CDF-offset
+    formula. For p > 1 the exact objective in the CDF offset is piecewise
+    linear and convex (Delon, Salomon & Sobolevski 2010): golden-section
+    search brackets its minimum, which sits at the nearest offset kink."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    if p == 1.0:
+        return _w1_kernel(_atoms(a), _atoms(b))
     objective = lambda alpha: _offset_integral(a, b, alpha, p)
-    _, best = convex_min_1d(objective, -1.5, 1.5, tol=tol)
-    # the p=1 minimum sits at a kink alpha = cumB_j + m - cumA_i
-    kinks = (
-        np.subtract.outer(b.cumweights(), a.cumweights())[:, :, None]
-        + np.array([-1.0, 0.0, 1.0])
-    ).ravel()
-    kinks = np.unique(kinks[(kinks >= -1.5) & (kinks <= 1.5)])
-    for alpha in kinks:
-        val = objective(alpha)
-        if val < best:
-            best = val
-    return best ** (1.0 / p)
+    alpha, best = convex_min_1d(objective, -1.5, 1.5, tol=tol)
+    return min(best, objective(_nearest_kink(a, b, alpha))) ** (1.0 / p)

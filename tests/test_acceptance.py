@@ -31,7 +31,6 @@ from circwass import (
     w1_cdf_search,
     w1_grid,
     wasserstein_fit,
-    wp_bruteforce,
     wp_discrete,
     wp_general,
 )
@@ -40,7 +39,7 @@ from circwass.estimate import circular_mean_resultant, loglik
 from circwass.families import bessel_ratio
 from circwass.harness import estimator_spec_from_name
 
-from conftest import perm_matching_cost, random_discrete_pair
+from conftest import perm_matching_cost, random_discrete_pair, wp_bruteforce
 from test_estimate import _de_loglik_oracle
 from test_families import random_theta
 from test_transport import grid_dist_from_cdf

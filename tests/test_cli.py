@@ -1,9 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from circwass.cli import run_cli
+
+from conftest import shift_scan_wp
 
 
 def run(capsys, *argv):
@@ -51,11 +54,60 @@ class TestDist:
 
     def test_methods_agree(self, capsys, sample_file):
         vals = {}
-        for method in ("equal", "general"):
-            code, out, _ = run(capsys, "dist", sample_file, sample_file, "--method", method)
-            assert code == 0
-            vals[method] = float(out.strip())
-        assert vals["equal"] == pytest.approx(vals["general"], abs=1e-9)
+        for p in ("1", "2"):
+            for method in ("equal", "general"):
+                code, out, _ = run(
+                    capsys, "dist", sample_file, sample_file, "--method", method, "--p", p
+                )
+                assert code == 0
+                vals[method] = float(out.strip())
+            assert vals["equal"] == pytest.approx(vals["general"], abs=1e-9)
+
+    def test_tied_whole_degrees(self, capsys, tmp_path):
+        rng = np.random.default_rng(8)
+        paths, angles = [], []
+        for tag, mu in (("a", 0.5), ("b", 2.0)):
+            deg = np.round(np.degrees(rng.vonmises(mu, 2.0, 200))) % 360
+            x = np.radians(deg)
+            path = tmp_path / f"{tag}.txt"
+            path.write_text("".join(f"{float(v)!r}\n" for v in x))
+            paths.append(str(path))
+            angles.append(x)
+        for p in ("1", "2"):
+            code, out, err = run(capsys, "dist", *paths, "--p", p)
+            assert code == 0, err
+            ref = shift_scan_wp(*angles, float(p))
+            assert float(out) == pytest.approx(ref, abs=1e-12)
+
+    def test_unequal_sizes_fast(self, capsys, tmp_path):
+        # unequal sizes n = 10^4 and m = 10^4 + 1 at p = 1 finish within 1 s
+        rng = np.random.default_rng(9)
+        paths = []
+        for tag, n in (("a", 10_000), ("b", 10_001)):
+            path = tmp_path / f"{tag}.txt"
+            path.write_text("".join(f"{float(v)!r}\n" for v in rng.vonmises(0.3, 2.0, n)))
+            paths.append(str(path))
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "dist", *paths, "--p", "1")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert elapsed < 1.0
+        # the D-grid formula is within 4*pi/D of the exact distance
+        D = 1 << 16
+        code, grid, _ = run(capsys, "dist", *paths, "--method", "grid", "--grid-size", str(D))
+        assert code == 0
+        assert abs(float(out) - float(grid)) <= 4 * np.pi / D
+
+    def test_equal_method_unequal_sizes(self, capsys, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("0.0\n")
+        b.write_text("1.5707963267948966\n4.71238898038469\n")
+        code, out, _ = run(capsys, "dist", str(a), str(b), "--method", "equal")
+        assert code == 0
+        assert float(out) == pytest.approx(np.pi / 2, abs=1e-12)
+        code, _, err = run(capsys, "dist", str(a), str(b), "--method", "equal", "--p", "2")
+        assert code == 2
+        assert "equal-weight" in err
 
     def test_grid_requires_p1(self, capsys, sample_file):
         code, _, err = run(

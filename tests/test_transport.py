@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circwass import (
     DiscreteCircularDist,
@@ -12,18 +14,26 @@ from circwass import (
     family_cdf,
     grid_cdf_of,
     make_sample,
+    normalize_angle,
     select_kth,
     shift_cost,
     w1_cdf_search,
     w1_grid,
-    wp_bruteforce,
     wp_discrete,
     wp_general,
 )
 from circwass.circular import TWO_PI
 from scipy import optimize
 
-from conftest import cdf_quad, perm_matching_cost, random_discrete_pair
+from conftest import (
+    cdf_quad,
+    perm_matching_cost,
+    random_discrete_pair,
+    random_weighted_pair,
+    shift_scan_wp,
+    wp_bruteforce,
+    wp_kink_scan,
+)
 
 
 def naive_shift_cost(xa, xb, k, p):
@@ -317,7 +327,94 @@ class TestWpGeneral:
                 approx = w1_grid(grid_cdf_of(sa, D), grid_cdf_of(sb, D))
                 assert abs(approx - exact) <= 4 * np.pi / D
 
+    def test_kink_scan_reference(self):
+        rng = np.random.default_rng(49)
+        for _ in range(12):
+            a, b = random_weighted_pair(rng, *rng.integers(1, 25, 2))
+            for p in (1.0, 1.5, 2.0, 3.0):
+                assert wp_general(a, b, p) == pytest.approx(wp_kink_scan(a, b, p), abs=1e-9)
+
+    def test_self_distance_zero(self):
+        # the p > 1 minimum sits at the offset kink 0; the search alone
+        # stops within tol of it, which the p-th root magnifies
+        a, _ = random_weighted_pair(np.random.default_rng(51), 9, 1)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert wp_general(a, a, p) == 0.0
+
+    def test_p_below_one_error(self):
+        a, b = random_discrete_pair(np.random.default_rng(50), 4)
+        with pytest.raises(ValueError, match="p must be"):
+            wp_general(a, b, 0.5)
+
     def test_tol_error(self):
         a, b = random_discrete_pair(np.random.default_rng(48), 4)
         with pytest.raises(ValueError):
             wp_general(a, b, 1.0, tol=0.0)
+
+
+def _angle_lists(n):
+    return st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=n, max_size=n)
+
+
+# Atoms on a 36-point grid tie often, within a sample and across the pair.
+_tied_samples = st.lists(st.integers(0, 35), min_size=1, max_size=16).map(
+    lambda k: make_sample(np.array(k) * TWO_PI / 36)
+)
+_equal_size_samples = st.integers(1, 20).flatmap(
+    lambda n: st.tuples(_angle_lists(n), _angle_lists(n))
+).map(lambda pair: (make_sample(pair[0]), make_sample(pair[1])))
+
+
+@st.composite
+def _weighted_dists(draw, max_atoms=12):
+    n = draw(st.integers(1, max_atoms))
+    atoms = np.array(draw(_angle_lists(n)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return DiscreteCircularDist(atoms, w / w.sum())
+
+
+class TestW1Kernel:
+    """Properties of the exact p = 1 formula behind wp_general and wp_discrete."""
+
+    @settings(max_examples=150)
+    @given(_weighted_dists(), _weighted_dists())
+    def test_symmetry_bit_exact(self, a, b):
+        assert wp_general(a, b, 1.0) == wp_general(b, a, 1.0)
+        assert wp_discrete(a, b, 1.0) == wp_discrete(b, a, 1.0)
+
+    @settings(max_examples=150)
+    @given(_weighted_dists(), _weighted_dists(), st.floats(0.0, TWO_PI))
+    def test_rotation_invariance(self, a, b, delta):
+        def rot(d):
+            return DiscreteCircularDist(normalize_angle(d.support + delta), d.weights)
+
+        assert wp_general(rot(a), rot(b), 1.0) == pytest.approx(wp_general(a, b, 1.0), abs=1e-12)
+
+    @settings(max_examples=100)
+    @given(_equal_size_samples)
+    def test_shift_scan_equal_sizes(self, pair):
+        sa, sb = pair
+        ref = shift_scan_wp(sa.angles, sb.angles, 1.0)
+        assert wp_discrete(sa, sb, 1.0) == pytest.approx(ref, abs=1e-12)
+        da, db = discrete_from_sample(sa), discrete_from_sample(sb)
+        assert wp_general(da, db, 1.0) == pytest.approx(ref, abs=1e-12)
+
+    @settings(max_examples=40)
+    @given(_weighted_dists(), _weighted_dists())
+    def test_kink_scan_unequal_weights(self, a, b):
+        assert wp_general(a, b, 1.0) == pytest.approx(wp_kink_scan(a, b, 1.0), abs=1e-9)
+
+    @settings(max_examples=100)
+    @given(_tied_samples, _tied_samples)
+    def test_ties(self, sa, sb):
+        # raw tied samples, their merged supports and (at equal sizes) the
+        # shift scan all give the same distance
+        raw = wp_discrete(sa, sb, 1.0)
+        merged = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), 1.0)
+        assert raw == pytest.approx(merged, abs=1e-12)
+        assert raw == wp_discrete(sb, sa, 1.0)
+        if sa.n == sb.n:
+            for p in (1.0, 1.5, 2.0):
+                assert wp_discrete(sa, sb, p) == pytest.approx(
+                    shift_scan_wp(sa.angles, sb.angles, p), abs=1e-12
+                )
