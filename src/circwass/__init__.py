@@ -5,7 +5,6 @@ from .circular import (
     DiscreteCircularDist,
     circ_dist,
     discrete_from_sample,
-    empirical_cdf,
     load_sample,
     make_sample,
     normalize_angle,
@@ -22,7 +21,6 @@ from .estimate import (
 )
 from .families import (
     FamilyParams,
-    bessel_i,
     family_cdf,
     family_fisher,
     family_logpdf,
@@ -41,10 +39,7 @@ from .optimize import (
 )
 from .transport import (
     GridCdf,
-    discretize_family_equal_mass,
     grid_cdf_of,
-    shift_cost,
-    w1_cdf_search,
     w1_grid,
     wp_discrete,
     wp_general,

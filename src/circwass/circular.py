@@ -20,7 +20,6 @@ __all__ = [
     "make_sample",
     "load_sample",
     "save_sample",
-    "empirical_cdf",
     "discrete_from_sample",
 ]
 
@@ -91,18 +90,6 @@ def save_sample(sample: CircularSample, path) -> None:
     with open(path, "w") as fh:
         for a in sample.angles:
             fh.write(f"{float(a)!r}\n")
-
-
-def empirical_cdf(sample: CircularSample, x) -> float:
-    """Empirical CDF with winding: (#{X_i <= x})/n on [0, 2*pi), extended by
-    Q(x + 2*pi*k) = Q(x) + k. Right-continuous."""
-    x = np.asarray(x, dtype=float)
-    k = np.floor(x / TWO_PI)
-    x0 = x - TWO_PI * k
-    x0 = np.where(x0 >= TWO_PI, x0 - TWO_PI, x0)
-    k = np.where(x - TWO_PI * k >= TWO_PI, k + 1, k)
-    q = np.searchsorted(sample.angles, x0, side="right") / sample.n + k
-    return q if q.ndim else float(q)
 
 
 @dataclass(frozen=True)

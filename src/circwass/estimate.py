@@ -4,12 +4,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .circular import TWO_PI, CircularSample, circ_dist, normalize_angle
 from .families import (
     FamilyParams,
     KAPPA_BOX,
+    bessel_ratio,
     family_logpdf,
     family_quantile,
     free_param_names,
@@ -22,7 +22,7 @@ from .optimize import (
     diff_evolution_min,
     powell_min,
 )
-from .transport import _wp_equal_weight_arrays, grid_cdf_of, w1_grid
+from .transport import _check_p, _wp_equal_weight_arrays, grid_cdf_of, w1_grid
 
 __all__ = [
     "EstimatorSpec",
@@ -43,7 +43,7 @@ class EstimatorSpec:
 
     ``grid`` discretization is the order-1 CDF-grid objective (requires p=1);
     ``equal-mass`` places equal-weight atoms at model quantiles and works for
-    any p >= 1.
+    any finite p >= 1. ``tol`` must be finite and positive.
     """
 
     kind: str = "wasserstein"  # "mle" or "wasserstein"
@@ -53,23 +53,21 @@ class EstimatorSpec:
     optimizer: str = "de+powell"  # "powell", "de" or "de+powell"
     de_pop: int | None = None
     de_gens: int = 60
-    de_cr: float = 0.9
-    de_fw: float = 0.7
     tol: float = 1e-10
-    max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("mle", "wasserstein"):
             raise ValueError("kind must be 'mle' or 'wasserstein'")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        _check_p(self.p)
         if self.discretization not in ("grid", "equal-mass"):
             raise ValueError("discretization must be 'grid' or 'equal-mass'")
         if self.discretization == "grid" and self.p != 1.0:
             raise ValueError("grid discretization is only valid for p = 1")
         if self.optimizer not in ("powell", "de", "de+powell"):
             raise ValueError("optimizer must be 'powell', 'de' or 'de+powell'")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,6 @@ def invert_bessel_ratio(r: float) -> float:
         raise ValueError("ratio must lie in [0, 1)")
     if r == 0.0:
         return 0.0
-
-    def ratio(k):
-        return float(special.ive(1, k) / special.ive(0, k))
-
     # Mardia-style starting values, then safeguarded Newton
     if r < 0.53:
         k = 2.0 * r + r**3 + 5.0 * r**5 / 6.0
@@ -112,10 +106,10 @@ def invert_bessel_ratio(r: float) -> float:
         k = 1.0 / (r**3 - 4.0 * r**2 + 3.0 * r)
     k = max(k, 1e-8)
     lo, hi = 0.0, max(2.0 * k, 1.0)
-    while ratio(hi) < r:
+    while bessel_ratio(hi) < r:
         lo, hi = hi, 2.0 * hi
     for _ in range(200):
-        a = ratio(k)
+        a = bessel_ratio(k)
         if abs(a - r) <= 1e-13:
             break
         if a < r:
@@ -215,23 +209,13 @@ def _minimize(objective, family: str, spec: EstimatorSpec, x0=None) -> Optimizer
     reports = []
     if spec.optimizer in ("de", "de+powell"):
         de = diff_evolution_min(
-            objective,
-            box,
-            pop=spec.de_pop,
-            cr=spec.de_cr,
-            fw=spec.de_fw,
-            gens=spec.de_gens,
-            seed=spec.seed,
+            objective, box, pop=spec.de_pop, gens=spec.de_gens, seed=spec.seed
         )
         reports.append(de)
         if spec.optimizer == "de+powell":
-            reports.append(
-                powell_min(objective, de.argmin, box, tol=spec.tol, max_iter=spec.max_iter)
-            )
+            reports.append(powell_min(objective, de.argmin, box, tol=spec.tol))
     if spec.optimizer != "de" and x0 is not None:
-        reports.append(
-            powell_min(objective, x0, box, tol=spec.tol, max_iter=spec.max_iter)
-        )
+        reports.append(powell_min(objective, x0, box, tol=spec.tol))
     best = min(reports, key=lambda r: r.value)
     evals = sum(r.evaluations for r in reports)
     return OptimizerReport(best.argmin, best.value, evals, best.converged)

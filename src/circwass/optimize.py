@@ -1,8 +1,9 @@
 """Derivative-free optimization and selection primitives.
 
-Contains the 1-D convex search used by the transport formulas, worst-case
-linear-time selection (numpy's introselect), Powell's direction-set method
-with periodic-dimension support, and rand/1/bin differential evolution.
+Contains the 1-D convex search behind the p > 1 offset search of
+``wp_general``, worst-case linear-time selection (numpy's introselect),
+Powell's direction-set method with periodic-dimension support, and
+rand/1/bin differential evolution.
 """
 
 from dataclasses import dataclass
@@ -99,17 +100,12 @@ def convex_min_1d(f, lo: float, hi: float, tol: float = 1e-10):
     return best_x, best_f
 
 
-def select_kth(values, k: int, use_sort: bool = False) -> float:
-    """k-th smallest element (0-based) without mutating the input.
-
-    numpy's introselect (``np.partition``, worst-case linear) by default;
-    ``use_sort`` switches to a sorting fallback kept for differential testing.
-    """
+def select_kth(values, k: int) -> float:
+    """k-th smallest element (0-based) without mutating the input, by numpy's
+    introselect (``np.partition``, worst-case linear)."""
     vals = np.asarray(values, dtype=float).ravel()
     if not 0 <= k < vals.size:
         raise ValueError("k out of range")
-    if use_sort:
-        return float(np.sort(vals)[k])
     return float(np.partition(vals, k)[k])
 
 

@@ -3,26 +3,24 @@
 At p = 1 every discrete distance is the exact CDF-offset formula over the
 merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
 equal-weight distances minimize over cyclic shifts of a sorted matching and
-general weights over a CDF offset. The order-1 grid formula uses a
-linear-time median.
+general weights over a CDF offset. p must be finite and at least 1: for the
+concave costs of p < 1 a sorted matching need not be optimal. The order-1
+grid formula uses a linear-time median.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import TWO_PI, CircularSample, DiscreteCircularDist, normalize_angle
-from .families import FamilyParams, family_cdf, family_quantile
+from .circular import TWO_PI, CircularSample, DiscreteCircularDist
+from .families import FamilyParams, family_cdf
 from .optimize import convex_min_1d, select_kth
 
 __all__ = [
     "GridCdf",
-    "discretize_family_equal_mass",
     "grid_cdf_of",
-    "shift_cost",
     "wp_discrete",
     "w1_grid",
-    "w1_cdf_search",
     "wp_general",
 ]
 
@@ -51,17 +49,6 @@ class GridCdf:
         return int(self.values.size)
 
 
-def discretize_family_equal_mass(theta: FamilyParams, n: int) -> DiscreteCircularDist:
-    """n-point equal-weight discretization at the quantile levels k/n, k=1..n.
-
-    The level-1 quantile (2*pi) wraps to the cut point 0.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    atoms = normalize_angle(family_quantile(theta, np.arange(1, n + 1) / n))
-    return DiscreteCircularDist(atoms, np.full(n, 1.0 / n))
-
-
 def grid_cdf_of(source, D: int) -> GridCdf:
     """CDF of a sample or family at the D grid points 2*pi*i/D, i = 1..D."""
     if D < 2:
@@ -88,6 +75,11 @@ def _atoms(d) -> tuple[np.ndarray, np.ndarray]:
     return d.support, d.weights
 
 
+def _check_p(p: float) -> None:
+    if not 1.0 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
+
+
 def _check_equal_weight_pair(a, b):
     (xa, wa), (xb, wb) = _atoms(a), _atoms(b)
     w = np.concatenate([wa, wb])
@@ -100,17 +92,6 @@ def _shift_cost_arrays(xa: np.ndarray, xb: np.ndarray, k: int, p: float) -> floa
     idx = np.arange(n) + k
     wind, idx = np.divmod(idx, n)
     return float(np.mean(np.abs(xa - (xb[idx] + TWO_PI * wind)) ** p))
-
-
-def shift_cost(
-    a: DiscreteCircularDist, b: DiscreteCircularDist, k: int, p: float
-) -> float:
-    """Cost (1/n) sum |x_(i) - y_(i+k)|^p of the cyclic matching with shift k.
-
-    Indices past the cut carry the +-2*pi winding; any integer k is valid.
-    """
-    _check_equal_weight_pair(a, b)
-    return _shift_cost_arrays(a.support, b.support, k, p)
 
 
 def _wp_equal_weight_arrays(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
@@ -174,6 +155,7 @@ def wp_discrete(a, b, p: float) -> float:
     keeps tied angles as separate atoms of weight 1/n. At p = 1 this is the
     exact CDF-offset formula, which also holds for any sizes and weights.
     """
+    _check_p(p)
     if p == 1.0:
         return _w1_kernel(_atoms(a), _atoms(b))
     _check_equal_weight_pair(a, b)
@@ -181,28 +163,14 @@ def wp_discrete(a, b, p: float) -> float:
     return _wp_equal_weight_arrays(xa, xb, p)
 
 
-def w1_grid(q: GridCdf, pm: GridCdf, use_sort: bool = False) -> float:
+def w1_grid(q: GridCdf, pm: GridCdf) -> float:
     """W_1 between grid discretizations: (2*pi/D) * sum |d_i - m| with m the
     (lower) median of the CDF differences, found in linear time."""
     if q.D != pm.D:
         raise ValueError("grid sizes must match")
     d = q.values - pm.values
-    m = select_kth(d, (d.size - 1) // 2, use_sort=use_sort)
+    m = select_kth(d, (d.size - 1) // 2)
     return float(TWO_PI / q.D * np.sum(np.abs(d - m)))
-
-
-def w1_cdf_search(q_cdf, p_cdf, quad_points: int = 512) -> float:
-    """W_1 via the CDF-offset formula: min over alpha of the midpoint-rule
-    integral of |P_1 - P_2 - alpha|. Validation path, not a hot loop."""
-    x = TWO_PI * (np.arange(quad_points) + 0.5) / quad_points
-    g = np.asarray(q_cdf(x), dtype=float) - np.asarray(p_cdf(x), dtype=float)
-    lo, hi = float(np.min(g)) - 1e-3, float(np.max(g)) + 1e-3
-
-    def objective(alpha):
-        return TWO_PI / quad_points * float(np.sum(np.abs(g - alpha)))
-
-    _, val = convex_min_1d(objective, lo, hi, tol=1e-12)
-    return val
 
 
 def _offset_integral(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: float, p: float) -> float:
@@ -239,19 +207,14 @@ def _nearest_kink(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: float
     return float(kinks.flat[np.argmin(np.abs(kinks - alpha))])
 
 
-def wp_general(
-    a: DiscreteCircularDist, b: DiscreteCircularDist, p: float, tol: float = 1e-12
-) -> float:
+def wp_general(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> float:
     """W_p for arbitrary weights. At p = 1 this is the exact CDF-offset
     formula. For p > 1 the exact objective in the CDF offset is piecewise
     linear and convex (Delon, Salomon & Sobolevski 2010): golden-section
     search brackets its minimum, which sits at the nearest offset kink."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if p == 1.0:
         return _w1_kernel(_atoms(a), _atoms(b))
     objective = lambda alpha: _offset_integral(a, b, alpha, p)
-    alpha, best = convex_min_1d(objective, -1.5, 1.5, tol=tol)
+    alpha, best = convex_min_1d(objective, -1.5, 1.5, tol=1e-12)
     return min(best, objective(_nearest_kink(a, b, alpha))) ** (1.0 / p)

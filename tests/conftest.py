@@ -36,6 +36,32 @@ def bessel_series(order: int, z: float) -> float:
             return total
 
 
+def empirical_cdf(sample, x) -> float:
+    """Empirical CDF with winding: (#{X_i <= x})/n on [0, 2*pi), extended by
+    Q(x + 2*pi*k) = Q(x) + k. Right-continuous."""
+    x = np.asarray(x, dtype=float)
+    k = np.floor(x / TWO_PI)
+    x0 = x - TWO_PI * k
+    x0 = np.where(x0 >= TWO_PI, x0 - TWO_PI, x0)
+    k = np.where(x - TWO_PI * k >= TWO_PI, k + 1, k)
+    q = np.searchsorted(sample.angles, x0, side="right") / sample.n + k
+    return q if q.ndim else float(q)
+
+
+def w1_cdf_search(q_cdf, p_cdf, quad_points: int = 512) -> float:
+    """W_1 via the CDF-offset formula: min over alpha of the midpoint-rule
+    integral of |P_1 - P_2 - alpha|. Validation path, not a hot loop."""
+    x = TWO_PI * (np.arange(quad_points) + 0.5) / quad_points
+    g = np.asarray(q_cdf(x), dtype=float) - np.asarray(p_cdf(x), dtype=float)
+    lo, hi = float(np.min(g)) - 1e-3, float(np.max(g)) + 1e-3
+
+    def objective(alpha):
+        return TWO_PI / quad_points * float(np.sum(np.abs(g - alpha)))
+
+    _, val = convex_min_1d(objective, lo, hi, tol=1e-12)
+    return val
+
+
 def cdf_quad(theta, x: float) -> float:
     """CDF on [0, 2*pi] by adaptive quadrature of the density."""
     val, _ = integrate.quad(

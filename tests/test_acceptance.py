@@ -28,7 +28,6 @@ from circwass import (
     mse_ratio,
     run_experiment,
     select_kth,
-    w1_cdf_search,
     w1_grid,
     wasserstein_fit,
     wp_discrete,
@@ -39,7 +38,7 @@ from circwass.estimate import circular_mean_resultant, loglik
 from circwass.families import bessel_ratio
 from circwass.harness import estimator_spec_from_name
 
-from conftest import perm_matching_cost, random_discrete_pair, wp_bruteforce
+from conftest import perm_matching_cost, random_discrete_pair, w1_cdf_search, wp_bruteforce
 from test_estimate import _de_loglik_oracle
 from test_families import random_theta
 from test_transport import grid_dist_from_cdf

@@ -6,12 +6,13 @@ from circwass import (
     DiscreteCircularDist,
     circ_dist,
     discrete_from_sample,
-    empirical_cdf,
     load_sample,
     make_sample,
     normalize_angle,
 )
 from circwass.circular import TWO_PI, save_sample
+
+from conftest import empirical_cdf
 
 
 class TestCircDist:

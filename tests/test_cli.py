@@ -109,6 +109,18 @@ class TestDist:
         assert code == 2
         assert "equal-weight" in err
 
+    @pytest.mark.parametrize("p", ("0.5", "-1", "nan", "inf"))
+    def test_p_outside_range(self, capsys, tmp_path, p):
+        a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        a.write_text("0.1\n2.0\n4.0\n")
+        b.write_text("1.0\n3.0\n5.5\n")
+        c.write_text("1.0\n3.0\n")
+        for other in (b, c):  # equal sizes and unequal sizes
+            code, out, err = run(capsys, "dist", str(a), str(other), "--p", p)
+            assert code == 2
+            assert out == ""
+            assert "p must be" in err
+
     def test_grid_requires_p1(self, capsys, sample_file):
         code, _, err = run(
             capsys, "dist", sample_file, sample_file, "--method", "grid", "--p", "2"
@@ -151,6 +163,15 @@ class TestFit:
         payload = json.loads(out)
         assert abs(payload["theta_hat"]["kappa"] - 2.0) < 1.0
         assert payload["evaluations"] > 0
+
+    @pytest.mark.parametrize("tol", ("0", "nan", "inf"))
+    def test_bad_tol(self, capsys, sample_file, tol):
+        code, out, err = run(
+            capsys, "fit", "--family", "vm", "--estimator", "w1",
+            "--data", sample_file, "--tol", tol,
+        )
+        assert code == 2
+        assert "tol must be" in err
 
     def test_text_output(self, capsys, sample_file):
         code, out, _ = run(

@@ -7,14 +7,15 @@ from circwass import (
     FamilyParams,
     circ_dist,
     circular_sq_error,
-    discretize_family_equal_mass,
     family_fisher,
+    family_quantile,
     family_sample,
     invert_bessel_ratio,
     make_sample,
     mle_ssvm,
     mle_von_mises,
     mle_wrapped_cauchy,
+    normalize_angle,
     wasserstein_fit,
 )
 from circwass.circular import TWO_PI
@@ -174,8 +175,9 @@ class TestEstimatorSpec:
             EstimatorSpec(kind="map")
 
     def test_bad_p(self):
-        with pytest.raises(ValueError):
-            EstimatorSpec(p=0.5, discretization="equal-mass")
+        for p in (0.5, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="p must be"):
+                EstimatorSpec(p=p, discretization="equal-mass")
 
 
 class TestWassersteinFit:
@@ -183,7 +185,7 @@ class TestWassersteinFit:
         # sample placed exactly at the model's equal-mass atoms: the
         # objective at the truth is 0 and the fit must find (near) zero
         truth = FamilyParams("vm", mu=0.3, kappa=2.0)
-        atoms = discretize_family_equal_mass(truth, 64).support
+        atoms = normalize_angle(family_quantile(truth, np.arange(1, 65) / 64))
         s = make_sample(atoms)
         spec = EstimatorSpec(
             kind="wasserstein", p=2.0, discretization="equal-mass",

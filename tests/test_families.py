@@ -4,7 +4,6 @@ from scipy import integrate, optimize
 
 from circwass import (
     FamilyParams,
-    bessel_i,
     family_cdf,
     family_fisher,
     family_logpdf,
@@ -12,9 +11,10 @@ from circwass import (
     family_quantile,
     family_sample,
 )
-from circwass.circular import TWO_PI, empirical_cdf
+from circwass.circular import TWO_PI
+from circwass.families import _vm_fourier_ratios, bessel_ratio
 
-from conftest import bessel_series, cdf_quad
+from conftest import bessel_series, cdf_quad, empirical_cdf
 
 
 def random_theta(rng, family):
@@ -66,33 +66,30 @@ class TestFamilyParams:
 
 
 class TestBessel:
+    """The Bessel ratios I_j/I_0 behind the von Mises CDF series and the MLE."""
+
     def test_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
+        assert bessel_ratio(0.0) == 0.0
+        assert np.all(_vm_fourier_ratios(0.0) == 0.0)
 
     def test_series_oracle(self):
-        for order in (0, 1, 2, 5):
-            for z in (0.5, 1.0, 2.0, 10.0, 50.0):
-                ref = bessel_series(order, z)
-                assert bessel_i(order, z) == pytest.approx(ref, rel=1e-12)
+        for z in (0.5, 1.0, 2.0, 10.0, 50.0):
+            ratios = _vm_fourier_ratios(z)
+            i0 = bessel_series(0, z)
+            assert bessel_ratio(z) == pytest.approx(bessel_series(1, z) / i0, rel=1e-12)
+            for order in (1, 2, 5):
+                ref = bessel_series(order, z) / i0
+                assert ratios[order - 1] == pytest.approx(ref, rel=1e-12)
 
     def test_recurrence(self):
-        # I_{j-1}(z) - I_{j+1}(z) = (2j/z) I_j(z)
+        # I_{j-1}(z) - I_{j+1}(z) = (2j/z) I_j(z), divided through by I_0(z)
         rng = np.random.default_rng(10)
         for _ in range(30):
             z = rng.uniform(0.5, 100.0)
             j = int(rng.integers(1, 8))
-            lhs = bessel_i(j - 1, z) - bessel_i(j + 1, z)
-            rhs = 2.0 * j / z * bessel_i(j, z)
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            bessel_i(0, 701.0)
-        with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
-        with pytest.raises(ValueError):
-            bessel_i(-1, 1.0)
+            r = np.concatenate([[1.0], _vm_fourier_ratios(z)])
+            lhs = r[j - 1] - r[j + 1]
+            assert lhs == pytest.approx(2.0 * j / z * r[j], rel=1e-10, abs=1e-12)
 
 
 class TestPdf:

@@ -9,28 +9,28 @@ from circwass import (
     GridCdf,
     circ_dist,
     discrete_from_sample,
-    discretize_family_equal_mass,
-    empirical_cdf,
     family_cdf,
+    family_quantile,
     grid_cdf_of,
     make_sample,
     normalize_angle,
     select_kth,
-    shift_cost,
-    w1_cdf_search,
     w1_grid,
     wp_discrete,
     wp_general,
 )
 from circwass.circular import TWO_PI
+from circwass.transport import _shift_cost_arrays
 from scipy import optimize
 
 from conftest import (
     cdf_quad,
+    empirical_cdf,
     perm_matching_cost,
     random_discrete_pair,
     random_weighted_pair,
     shift_scan_wp,
+    w1_cdf_search,
     wp_bruteforce,
     wp_kink_scan,
 )
@@ -54,22 +54,23 @@ def naive_shift_cost(xa, xb, k, p):
 
 
 class TestShiftCost:
+    """The cyclic-matching cost that the p > 1 equal-weight search minimizes."""
+
     def test_identity(self):
         a, _ = random_discrete_pair(np.random.default_rng(30), 8)
-        assert shift_cost(a, a, 0, 2.0) == 0.0
+        assert _shift_cost_arrays(a.support, a.support, 0, 2.0) == 0.0
 
     def test_single_atoms(self):
-        a = DiscreteCircularDist(np.array([0.0]), np.array([1.0]))
-        b = DiscreteCircularDist(np.array([np.pi / 2]), np.array([1.0]))
         for p in (1.0, 2.0):
-            assert shift_cost(a, b, 0, p) == pytest.approx((np.pi / 2) ** p)
+            cost = _shift_cost_arrays(np.array([0.0]), np.array([np.pi / 2]), 0, p)
+            assert cost == pytest.approx((np.pi / 2) ** p)
 
     def test_naive_oracle(self):
         rng = np.random.default_rng(31)
         a, b = random_discrete_pair(rng, 6)
         for k in (-5, -2, 0, 2, 5):
             for p in (1.0, 1.5, 2.0):
-                assert shift_cost(a, b, k, p) == pytest.approx(
+                assert _shift_cost_arrays(a.support, b.support, k, p) == pytest.approx(
                     naive_shift_cost(a.support, b.support, k, p), abs=1e-13
                 )
 
@@ -77,7 +78,7 @@ class TestShiftCost:
         a, _ = random_discrete_pair(np.random.default_rng(32), 4)
         b, _ = random_discrete_pair(np.random.default_rng(33), 5)
         with pytest.raises(ValueError, match="equal-weight"):
-            shift_cost(a, b, 0, 1.0)
+            wp_discrete(a, b, 2.0)
 
 
 class TestWpDiscrete:
@@ -151,30 +152,31 @@ class TestWpDiscrete:
             wp_bruteforce(a, b, 1.0)
 
 
+def equal_mass_atoms(theta, n):
+    """The equal-mass objective's model atoms: quantiles at k/n, k = 1..n,
+    the level-1 quantile (2*pi) wrapped to the cut point 0."""
+    return np.sort(normalize_angle(family_quantile(theta, np.arange(1, n + 1) / n)))
+
+
 class TestDiscretize:
     def test_uniform_four(self):
-        d = discretize_family_equal_mass(FamilyParams("uniform"), 4)
-        assert np.allclose(np.sort(d.support), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-        assert np.allclose(d.weights, 0.25)
+        atoms = equal_mass_atoms(FamilyParams("uniform"), 4)
+        assert np.allclose(atoms, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
     def test_wc_rho0_equispaced(self):
-        d = discretize_family_equal_mass(FamilyParams("wc", mu=1.3, rho=0.0), 8)
-        gaps = np.diff(np.concatenate([d.support, [d.support[0] + TWO_PI]]))
+        atoms = equal_mass_atoms(FamilyParams("wc", mu=1.3, rho=0.0), 8)
+        gaps = np.diff(np.concatenate([atoms, [atoms[0] + TWO_PI]]))
         assert np.allclose(gaps, TWO_PI / 8, atol=1e-9)
 
     def test_vm_bisection_oracle(self):
         theta = FamilyParams("vm", mu=0.0, kappa=2.0)
-        d = discretize_family_equal_mass(theta, 16)
+        atoms = equal_mass_atoms(theta, 16)
         for k in range(1, 16):  # level 1 wraps to the cut, checked separately
             ref = optimize.brentq(
                 lambda t: cdf_quad(theta, t) - k / 16.0, 1e-12, TWO_PI - 1e-12, xtol=1e-12
             )
-            assert np.min(np.abs(d.support - ref)) <= 1e-9
-        assert np.min(d.support) <= 1e-9  # the wrapped level-1 atom
-
-    def test_zero_error(self):
-        with pytest.raises(ValueError):
-            discretize_family_equal_mass(FamilyParams("uniform"), 0)
+            assert np.min(np.abs(atoms - ref)) <= 1e-9
+        assert np.min(atoms) <= 1e-9  # the wrapped level-1 atom
 
 
 class TestGridCdfOf:
@@ -238,12 +240,15 @@ class TestW1Grid:
             assert median_sum(d) <= best_candidate + 1e-12
 
     def test_use_sort_differential(self):
+        # the (2*pi/D) * sum |d_i - m| formula with m taken from a full sort
         rng = np.random.default_rng(43)
         for _ in range(20):
             n = int(rng.integers(2, 50))
             a = grid_cdf_of(make_sample(rng.uniform(0, TWO_PI, 25)), n)
             b = grid_cdf_of(make_sample(rng.uniform(0, TWO_PI, 31)), n)
-            assert w1_grid(a, b) == w1_grid(a, b, use_sort=True)
+            d = a.values - b.values
+            m = np.sort(d)[(n - 1) // 2]
+            assert w1_grid(a, b) == float(TWO_PI / n * np.sum(np.abs(d - m)))
 
     def test_mismatched_d(self):
         a = grid_cdf_of(FamilyParams("uniform"), 8)
@@ -342,14 +347,19 @@ class TestWpGeneral:
             assert wp_general(a, a, p) == 0.0
 
     def test_p_below_one_error(self):
+        # for concave costs a sorted matching need not be optimal
         a, b = random_discrete_pair(np.random.default_rng(50), 4)
-        with pytest.raises(ValueError, match="p must be"):
-            wp_general(a, b, 0.5)
+        for p in (0.5, -1.0):
+            for wp in (wp_general, wp_discrete):
+                with pytest.raises(ValueError, match="p must be"):
+                    wp(a, b, p)
 
-    def test_tol_error(self):
+    @pytest.mark.parametrize("p", (np.nan, np.inf))
+    def test_p_not_finite_error(self, p):
         a, b = random_discrete_pair(np.random.default_rng(48), 4)
-        with pytest.raises(ValueError):
-            wp_general(a, b, 1.0, tol=0.0)
+        for wp in (wp_general, wp_discrete):
+            with pytest.raises(ValueError, match="p must be"):
+                wp(a, b, p)
 
 
 def _angle_lists(n):
