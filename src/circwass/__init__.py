@@ -14,6 +14,7 @@ from .estimate import (
     FitResult,
     circular_sq_error,
     invert_bessel_ratio,
+    mle,
     mle_ssvm,
     mle_von_mises,
     mle_wrapped_cauchy,

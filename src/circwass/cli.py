@@ -3,20 +3,21 @@
 Subcommands: ``sample`` (generate data), ``dist`` (distance between two
 sample files), ``fit`` (run an estimator), ``fisher`` (print a Fisher
 matrix), ``experiment`` (Monte Carlo sweep to CSV). Exit codes: 0 success,
-1 usage error, 2 numerical failure.
+1 usage error, 2 numerical failure or unreadable input.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .circular import discrete_from_sample, load_sample, save_sample
-from .estimate import EstimatorSpec, fit_mle, loglik, wasserstein_fit
-from .families import FAMILIES, FamilyParams, family_fisher, family_sample, free_param_names
-from .harness import ExperimentConfig, run_experiment
+from .estimate import mle, wasserstein_fit
+from .families import (
+    FAMILIES, PARAM_NAMES, FamilyParams, family_fisher, family_sample, free_param_names,
+)
+from .harness import ExperimentConfig, estimator_spec_from_name, run_experiment
 from .transport import grid_cdf_of, w1_grid, wp_discrete, wp_general
-
-_JSON_NAMES = {"mu": "mu", "kappa": "kappa", "rho": "rho", "lam": "lambda", "eps": "epsilon"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,20 +28,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_theta_flags(p):
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epsilon", dest="eps", type=float)
+    for attr, name in PARAM_NAMES.items():
+        p.add_argument(f"--{name}", dest=attr, type=float)
 
 
 def _theta_from_args(args) -> FamilyParams:
-    kwargs = {"mu": args.mu}
-    for name in ("kappa", "rho", "lam", "eps"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
-    return FamilyParams(args.family, **kwargs)
+    kwargs = {attr: getattr(args, attr) for attr in PARAM_NAMES}
+    return FamilyParams(args.family, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 def build_parser() -> _Parser:
@@ -123,36 +117,24 @@ def _cmd_dist(args) -> int:
 
 def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
-    method = args.method or ("grid" if args.estimator == "w1" else "equal-mass")
-    if args.estimator == "mle":
-        spec = EstimatorSpec(
-            kind="mle", optimizer=args.opt, de_pop=args.de_pop,
-            de_gens=args.de_gens, tol=args.tol, seed=args.seed,
-        )
-        theta = fit_mle(sample, args.family, spec)
-        objective = -loglik(theta, sample) / sample.n
-        evaluations, converged = 0, True
-    else:
-        p = 1.0 if args.estimator == "w1" else 2.0
-        spec = EstimatorSpec(
-            kind="wasserstein", p=p, discretization=method, points=args.D,
-            optimizer=args.opt, de_pop=args.de_pop, de_gens=args.de_gens,
-            tol=args.tol, seed=args.seed,
-        )
-        res = wasserstein_fit(sample, args.family, spec)
-        theta, objective = res.theta_hat, res.objective
-        evaluations, converged = res.report.evaluations, res.report.converged
-    theta_dict = {
-        _JSON_NAMES[name]: getattr(theta, name)
-        for name in free_param_names(args.family)
-    }
+    spec = estimator_spec_from_name(args.estimator)
+    spec = replace(
+        spec, discretization=args.method or spec.discretization, points=args.D,
+        optimizer=args.opt, de_pop=args.de_pop, de_gens=args.de_gens,
+        tol=args.tol, seed=args.seed,
+    )
+    fit = mle if spec.kind == "mle" else wasserstein_fit
+    res = fit(sample, args.family, spec)
     payload = {
         "family": args.family,
         "estimator": args.estimator,
-        "theta_hat": theta_dict,
-        "objective": objective,
-        "evaluations": evaluations,
-        "converged": converged,
+        "theta_hat": {
+            PARAM_NAMES[name]: getattr(res.theta_hat, name)
+            for name in free_param_names(args.family)
+        },
+        "objective": res.objective,
+        "evaluations": res.evaluations,
+        "converged": res.converged,
     }
     if args.json:
         print(json.dumps(payload))
@@ -196,7 +178,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, FileNotFoundError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,18 +16,13 @@ from .families import (
     param_box,
     vector_to_params,
 )
-from .optimize import (
-    BoxConstraints,
-    OptimizerReport,
-    diff_evolution_min,
-    powell_min,
-)
+from .optimize import BoxConstraints, diff_evolution_min, powell_min
 from .transport import _check_p, _wp_equal_weight_arrays, grid_cdf_of, w1_grid
 
 __all__ = [
     "EstimatorSpec",
     "FitResult",
-    "MleResult",
+    "mle",
     "mle_von_mises",
     "mle_wrapped_cauchy",
     "mle_ssvm",
@@ -72,16 +67,19 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class FitResult:
+    """What every estimator returns. An MLE's objective is the mean negative
+    log-likelihood; the wrapped Cauchy MLE counts fixed-point iterations as
+    evaluations, the closed-form von Mises MLE counts none."""
+
     theta_hat: FamilyParams
     objective: float
-    report: OptimizerReport
-
-
-@dataclass(frozen=True)
-class MleResult:
-    theta: FamilyParams
+    evaluations: int
     converged: bool
-    iterations: int
+
+
+def _mle_result(theta: FamilyParams, sample: CircularSample, evaluations=0, converged=True):
+    nll = -float(np.sum(family_logpdf(theta, sample.angles))) / sample.n
+    return FitResult(theta, nll, evaluations, converged)
 
 
 def circular_mean_resultant(sample: CircularSample):
@@ -125,7 +123,7 @@ def invert_bessel_ratio(r: float) -> float:
     return k
 
 
-def mle_von_mises(sample: CircularSample) -> FamilyParams:
+def mle_von_mises(sample: CircularSample) -> FitResult:
     """Closed-form von Mises MLE: circular mean direction and the Bessel-ratio
     inversion of the mean resultant length."""
     if sample.n < 2:
@@ -135,9 +133,10 @@ def mle_von_mises(sample: CircularSample) -> FamilyParams:
         raise ValueError("mean direction undefined")
     if rbar >= 1.0 - 1e-12:
         warnings.warn("resultant length ~ 1; kappa clamped to box maximum")
-        return FamilyParams("vm", mu=mu, kappa=KAPPA_BOX[1])
-    kappa = invert_bessel_ratio(rbar)
-    return FamilyParams("vm", mu=mu, kappa=float(np.clip(kappa, *KAPPA_BOX)))
+        kappa = KAPPA_BOX[1]
+    else:
+        kappa = float(np.clip(invert_bessel_ratio(rbar), *KAPPA_BOX))
+    return _mle_result(FamilyParams("vm", mu=mu, kappa=kappa), sample)
 
 
 def _wc_loglik(z: np.ndarray, eta: complex) -> float:
@@ -149,7 +148,7 @@ def _wc_loglik(z: np.ndarray, eta: complex) -> float:
 
 def mle_wrapped_cauchy(
     sample: CircularSample, tol: float = 1e-10, max_iter: int = 500
-) -> MleResult:
+) -> FitResult:
     """Wrapped Cauchy MLE by the reweighting fixed point.
 
     Works on eta = rho*exp(i*mu); weights are the inverse squared distances
@@ -182,7 +181,7 @@ def mle_wrapped_cauchy(
             break
     rho = min(abs(eta), 1.0 - 1e-9)
     mu = float(normalize_angle(np.angle(eta)))
-    return MleResult(FamilyParams("wc", mu=mu, rho=rho), converged, it)
+    return _mle_result(FamilyParams("wc", mu=mu, rho=rho), sample, it, converged)
 
 
 def _box_for(family: str) -> BoxConstraints:
@@ -204,7 +203,7 @@ def _moment_start(sample: CircularSample, family: str) -> np.ndarray:
     return np.array([values[p] for p in free_param_names(family)])
 
 
-def _minimize(objective, family: str, spec: EstimatorSpec, x0=None) -> OptimizerReport:
+def _minimize(objective, family: str, spec: EstimatorSpec, x0=None) -> FitResult:
     box = _box_for(family)
     reports = []
     if spec.optimizer in ("de", "de+powell"):
@@ -218,7 +217,7 @@ def _minimize(objective, family: str, spec: EstimatorSpec, x0=None) -> Optimizer
         reports.append(powell_min(objective, x0, box, tol=spec.tol))
     best = min(reports, key=lambda r: r.value)
     evals = sum(r.evaluations for r in reports)
-    return OptimizerReport(best.argmin, best.value, evals, best.converged)
+    return FitResult(vector_to_params(family, best.argmin), best.value, evals, best.converged)
 
 
 def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitResult:
@@ -235,10 +234,10 @@ def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitRe
         lp = family_logpdf(theta, x)
         return np.inf if np.any(np.isneginf(lp)) else -float(np.mean(lp))
 
-    report = _minimize(objective, "ssvm", spec, x0=_moment_start(sample, "ssvm"))
-    if not np.isfinite(report.value):
+    res = _minimize(objective, "ssvm", spec, x0=_moment_start(sample, "ssvm"))
+    if not np.isfinite(res.objective):
         raise ValueError("no feasible sine-skewed von Mises parameters found")
-    return FitResult(vector_to_params("ssvm", report.argmin), report.value, report)
+    return res
 
 
 def _wasserstein_objective(sample: CircularSample, family: str, spec: EstimatorSpec):
@@ -274,8 +273,7 @@ def wasserstein_fit(
     if spec.kind != "wasserstein":
         raise ValueError("spec.kind must be 'wasserstein'")
     objective = _wasserstein_objective(sample, family, spec)
-    report = _minimize(objective, family, spec, x0=_moment_start(sample, family))
-    return FitResult(vector_to_params(family, report.argmin), report.value, report)
+    return _minimize(objective, family, spec, x0=_moment_start(sample, family))
 
 
 def circular_sq_error(est: float, truth: float) -> float:
@@ -283,18 +281,20 @@ def circular_sq_error(est: float, truth: float) -> float:
     return float(circ_dist(est, truth)) ** 2
 
 
-def fit_mle(sample: CircularSample, family: str, spec: EstimatorSpec | None = None):
-    """Dispatch the per-family MLE; returns FamilyParams."""
+def mle(sample: CircularSample, family: str, spec: EstimatorSpec | None = None) -> FitResult:
+    """The family's maximum likelihood estimate; ``spec`` configures the
+    numerical search where there is one (ssvm)."""
     if family == "vm":
         return mle_von_mises(sample)
     if family == "wc":
-        return mle_wrapped_cauchy(sample).theta
+        return mle_wrapped_cauchy(sample)
     if family == "ssvm":
-        return mle_ssvm(sample, spec).theta_hat
+        return mle_ssvm(sample, spec)
     if family == "uniform":
-        return FamilyParams("uniform")
+        return _mle_result(FamilyParams("uniform"), sample)
     raise ValueError(f"no MLE implemented for family {family!r}")
 
 
-def loglik(theta: FamilyParams, sample: CircularSample) -> float:
-    return float(np.sum(family_logpdf(theta, sample.angles)))
+def fit_mle(sample: CircularSample, family: str, spec: EstimatorSpec | None = None) -> FamilyParams:
+    """The MLE's parameters alone."""
+    return mle(sample, family, spec).theta_hat

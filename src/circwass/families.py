@@ -20,6 +20,7 @@ from .circular import TWO_PI, CircularSample, make_sample, normalize_angle
 __all__ = [
     "FamilyParams",
     "FAMILIES",
+    "PARAM_NAMES",
     "KAPPA_BOX",
     "RHO_BOX",
     "LAMBDA_BOX",
@@ -37,7 +38,18 @@ __all__ = [
     "param_box",
 ]
 
-FAMILIES = ("vm", "wc", "ssvm", "uniform", "vm-contam")
+# each family's free parameters, in parameter-vector order
+_PARAMS = {
+    "vm": ("mu", "kappa"),
+    "wc": ("mu", "rho"),
+    "ssvm": ("mu", "kappa", "lam"),
+    "uniform": (),
+    "vm-contam": ("mu", "kappa", "eps"),
+}
+FAMILIES = tuple(_PARAMS)
+
+# attribute -> the name of the parameter in CLI flags, configs, sweeps and JSON
+PARAM_NAMES = {"mu": "mu", "kappa": "kappa", "rho": "rho", "lam": "lambda", "eps": "epsilon"}
 
 # parameter boxes used by the optimizers; clamps keep likelihood and Fisher finite
 KAPPA_BOX = (1e-3, 500.0)
@@ -61,16 +73,9 @@ class FamilyParams:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "mu", float(normalize_angle(self.mu)))
-        required = {
-            "vm": ("kappa",),
-            "wc": ("rho",),
-            "ssvm": ("kappa", "lam"),
-            "uniform": (),
-            "vm-contam": ("kappa", "eps"),
-        }[self.family]
         for name in ("kappa", "rho", "lam", "eps"):
             val = getattr(self, name)
-            if name in required:
+            if name in _PARAMS[self.family]:
                 if val is None:
                     raise ValueError(f"{self.family} requires parameter {name}")
                 object.__setattr__(self, name, float(val))
@@ -385,13 +390,7 @@ def family_fisher(theta: FamilyParams) -> np.ndarray:
 
 
 def free_param_names(family: str) -> tuple[str, ...]:
-    return {
-        "vm": ("mu", "kappa"),
-        "wc": ("mu", "rho"),
-        "ssvm": ("mu", "kappa", "lam"),
-        "uniform": (),
-        "vm-contam": ("mu", "kappa", "eps"),
-    }[family]
+    return _PARAMS[family]
 
 
 def params_to_vector(theta: FamilyParams) -> np.ndarray:

@@ -11,13 +11,13 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .circular import CircularSample
 from .estimate import EstimatorSpec, circular_sq_error, fit_mle, wasserstein_fit
-from .families import FamilyParams, family_sample, free_param_names, params_to_vector
+from .families import PARAM_NAMES, FamilyParams, family_sample, free_param_names, params_to_vector
 
 __all__ = [
     "ExperimentConfig",
@@ -28,41 +28,32 @@ __all__ = [
     "estimator_spec_from_name",
 ]
 
-SWEEPS = ("log10N", "kappa", "rho", "lambda", "epsilon")
-_SWEEP_PARAM = {"kappa": "kappa", "rho": "rho", "lambda": "lam", "epsilon": "eps"}
+# sweep name -> the FamilyParams attribute it varies; log10N varies n instead
+_SWEEP_ATTRS = {name: attr for attr, name in PARAM_NAMES.items() if attr != "mu"}
+SWEEPS = ("log10N", *_SWEEP_ATTRS)
 
-CSV_HEADER = [
-    "sweep_name",
-    "sweep_value",
-    "estimator",
-    "parameter",
-    "mse",
-    "log10_mse",
-    "replications",
-    "failures",
-]
+# estimator name -> (CSV label, EstimatorSpec fields)
+_ESTIMATORS = {
+    "mle": ("MLE", dict(kind="mle")),
+    "w1": ("W1", dict(kind="wasserstein", p=1.0, discretization="grid")),
+    "w2": ("W2", dict(kind="wasserstein", p=2.0, discretization="equal-mass")),
+    "w1-equal-mass": ("W1em", dict(kind="wasserstein", p=1.0, discretization="equal-mass")),
+}
+
+
+def _estimator(name: str):
+    try:
+        return _ESTIMATORS[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown estimator {name!r}") from None
 
 
 def estimator_spec_from_name(name: str, optimizer: str = "powell") -> EstimatorSpec:
-    """Canonical estimator names: 'mle', 'w1' (grid), 'w2' (equal-mass),
-    'w1-equal-mass'."""
-    key = name.lower()
+    """The spec of a named estimator; the names are the keys of ``_ESTIMATORS``
+    (case-insensitive)."""
     # tol 1e-6 keeps desk-scale sweeps fast; Monte Carlo noise dominates it
-    common = dict(optimizer=optimizer, tol=1e-6, de_pop=18, de_gens=40)
-    if key == "mle":
-        return EstimatorSpec(kind="mle", **common)
-    if key == "w1":
-        return EstimatorSpec(kind="wasserstein", p=1.0, discretization="grid", **common)
-    if key == "w2":
-        return EstimatorSpec(kind="wasserstein", p=2.0, discretization="equal-mass", **common)
-    if key == "w1-equal-mass":
-        return EstimatorSpec(kind="wasserstein", p=1.0, discretization="equal-mass", **common)
-    raise ValueError(f"unknown estimator {name!r}")
-
-
-def _canonical_name(name: str) -> str:
-    return {"mle": "MLE", "w1": "W1", "w2": "W2", "w1-equal-mass": "W1em"}.get(
-        name.lower(), name
+    return EstimatorSpec(
+        **_estimator(name)[1], optimizer=optimizer, tol=1e-6, de_pop=18, de_gens=40
     )
 
 
@@ -86,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("sweep values must be strictly increasing")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        for name in self.estimators:
+            _estimator(name)
         object.__setattr__(self, "sweep_values", vals)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -97,20 +90,22 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
-        t0 = dict(raw["theta0"])
-        kwargs = {"family": raw["family"], "mu": t0.pop("mu", 0.0)}
-        for json_key, attr in (("kappa", "kappa"), ("rho", "rho"), ("lambda", "lam"), ("epsilon", "eps")):
-            if json_key in t0:
-                kwargs[attr] = t0.pop(json_key)
+        try:
+            family, t0, sweep = raw["family"], dict(raw["theta0"]), raw["sweep"]
+            sweep_name, sweep_values = sweep["name"], sweep["values"]
+            replications = raw["replications"]
+        except KeyError as exc:
+            raise ValueError(f"config lacks key {exc.args[0]!r}") from None
+        kwargs = {attr: t0.pop(name) for attr, name in PARAM_NAMES.items() if name in t0}
         if t0:
             raise ValueError(f"unknown theta0 keys: {sorted(t0)}")
         return cls(
-            family=raw["family"],
-            theta0=FamilyParams(**kwargs),
-            sweep_name=raw["sweep"]["name"],
-            sweep_values=tuple(raw["sweep"]["values"]),
+            family=family,
+            theta0=FamilyParams(family, **kwargs),
+            sweep_name=sweep_name,
+            sweep_values=tuple(sweep_values),
             n=int(raw.get("n", 0) or 0),
-            replications=int(raw["replications"]),
+            replications=int(replications),
             estimators=tuple(raw.get("estimators", ("mle", "w1", "w2"))),
             master_seed=int(raw.get("master_seed", 0)),
             optimizer=raw.get("optimizer", "powell"),
@@ -129,6 +124,9 @@ class MseRow:
     failures: int
 
 
+CSV_HEADER = [f.name for f in fields(MseRow)]
+
+
 @dataclass(frozen=True)
 class MseTable:
     rows: tuple
@@ -138,40 +136,17 @@ class MseTable:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.sweep_name,
-                    repr(r.sweep_value),
-                    r.estimator,
-                    r.parameter,
-                    repr(r.mse),
-                    repr(r.log10_mse),
-                    r.replications,
-                    r.failures,
-                ]
-            )
+            values = (getattr(r, name) for name in CSV_HEADER)
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "MseTable":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != CSV_HEADER:
+        if next(reader) != CSV_HEADER:
             raise ValueError("unexpected CSV header")
-        rows = [
-            MseRow(
-                sweep_name=r[0],
-                sweep_value=float(r[1]),
-                estimator=r[2],
-                parameter=r[3],
-                mse=float(r[4]),
-                log10_mse=float(r[5]),
-                replications=int(r[6]),
-                failures=int(r[7]),
-            )
-            for r in reader
-        ]
-        return cls(tuple(rows))
+        types = [f.type for f in fields(MseRow)]
+        return cls(tuple(MseRow(*(t(v) for t, v in zip(types, r))) for r in reader))
 
     def to_wide_csv(self) -> str:
         """Wide plotting table: one row per sweep value, log10 MSE columns
@@ -199,7 +174,7 @@ def _resolve_cell(cfg: ExperimentConfig, sweep_value: float):
         n = int(round(10.0**sweep_value))
     else:
         n = cfg.n
-        attr = _SWEEP_PARAM[cfg.sweep_name]
+        attr = _SWEEP_ATTRS[cfg.sweep_name]
         theta = replace(theta, **{attr: float(sweep_value)})
     if n < 1:
         raise ValueError("sample size must be >= 1 (set n or sweep log10N)")
@@ -226,7 +201,7 @@ def _run_cell(cfg: ExperimentConfig, si: int, ri: int):
             # skewness has no moment start; a small global search is needed
             spec = replace(spec, optimizer="de+powell")
         spec = replace(spec, seed=int(np.random.SeedSequence([cfg.master_seed, si, ri, 7000 + ei]).generate_state(1)[0]))
-        label = _canonical_name(est_name)
+        label = _estimator(est_name)[0]
         try:
             if spec.kind == "mle":
                 theta_hat = fit_mle(sample, cfg.fit_family, spec)
@@ -258,7 +233,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> MseTable:
     results.sort(key=lambda r: (r[0], r[1]))
 
     names = free_param_names(cfg.fit_family)
-    labels = [_canonical_name(e) for e in cfg.estimators]
+    labels = [_estimator(e)[0] for e in cfg.estimators]
     rows = []
     for si, sweep_value in enumerate(cfg.sweep_values):
         cell = [r for r in results if r[0] == si]

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import settings
 from scipy import integrate
 
-from circwass import DiscreteCircularDist, circ_dist, convex_min_1d, family_pdf
+from circwass import DiscreteCircularDist, circ_dist, convex_min_1d, family_logpdf, family_pdf
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,6 +68,11 @@ def cdf_quad(theta, x: float) -> float:
         lambda t: family_pdf(theta, t), 0.0, x, epsabs=1e-13, epsrel=1e-13, limit=400
     )
     return val
+
+
+def loglik(theta, sample) -> float:
+    """Total log-likelihood of a sample."""
+    return float(np.sum(family_logpdf(theta, sample.angles)))
 
 
 def perm_matching_cost(xa, xb, p: float) -> float:

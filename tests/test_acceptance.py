@@ -34,11 +34,11 @@ from circwass import (
     wp_general,
 )
 from circwass.circular import TWO_PI
-from circwass.estimate import circular_mean_resultant, loglik
+from circwass.estimate import circular_mean_resultant
 from circwass.families import bessel_ratio
 from circwass.harness import estimator_spec_from_name
 
-from conftest import perm_matching_cost, random_discrete_pair, w1_cdf_search, wp_bruteforce
+from conftest import loglik, perm_matching_cost, random_discrete_pair, w1_cdf_search, wp_bruteforce
 from test_estimate import _de_loglik_oracle
 from test_families import random_theta
 from test_transport import grid_dist_from_cdf
@@ -169,14 +169,14 @@ def test_criterion_06_mle_correctness(capsys):
     for _ in range(20):
         theta = random_theta(rng, "vm")
         s = family_sample(theta, 500, int(rng.integers(1 << 31)))
-        fit = mle_von_mises(s)
+        fit = mle_von_mises(s).theta_hat
         mu_bar, rbar = circular_mean_resultant(s)
         ok &= abs(bessel_ratio(fit.kappa) - rbar) <= 1e-8
         ok &= fit.mu == mu_bar
     for seed in range(20):
         s = family_sample(FamilyParams("wc", mu=np.pi / 8, rho=0.4), 1000, seed)
         res = mle_wrapped_cauchy(s)
-        ll = loglik(res.theta, s)
+        ll = loglik(res.theta_hat, s)
         ok &= ll >= _de_loglik_oracle(s, "wc", seed=seed) - 1e-6
         if not ok:
             break
@@ -285,7 +285,7 @@ def test_criterion_11_contamination_robustness(capsys):
     for ri in range(100):
         seed = np.random.SeedSequence([2027, 0, ri])
         s = family_sample(theta, 10_000, seed)
-        kappa_hats.append(mle_von_mises(s).kappa)
+        kappa_hats.append(mle_von_mises(s).theta_hat.kappa)
     ok = kappa_ratio < 1.0 and float(np.mean(kappa_hats)) < 5.0
     report(capsys, 11, "contamination robustness", ok)
 

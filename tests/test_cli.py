@@ -4,9 +4,10 @@ import time
 import numpy as np
 import pytest
 
+from circwass import EstimatorSpec, load_sample, mle_ssvm, mle_von_mises, mle_wrapped_cauchy
 from circwass.cli import run_cli
 
-from conftest import shift_scan_wp
+from conftest import loglik, shift_scan_wp
 
 
 def run(capsys, *argv):
@@ -173,6 +174,47 @@ class TestFit:
         assert code == 2
         assert "tol must be" in err
 
+    def fit_json(self, capsys, path, family, *flags):
+        code, out, err = run(
+            capsys, "fit", "--family", family, "--estimator", "mle", "--data", path,
+            "--json", *flags,
+        )
+        assert code == 0, err
+        return json.loads(out)
+
+    def test_vm_mle_counts(self, capsys, sample_file):
+        payload = self.fit_json(capsys, sample_file, "vm")
+        assert payload["evaluations"] == 0
+        assert payload["converged"] is True
+        # the objective is the mean negative log-likelihood
+        s = load_sample(sample_file)
+        theta = mle_von_mises(s).theta_hat
+        assert payload["theta_hat"] == {"mu": theta.mu, "kappa": theta.kappa}
+        assert payload["objective"] == -loglik(theta, s) / s.n
+
+    def test_wc_mle_counts(self, capsys, tmp_path):
+        path = str(tmp_path / "wc.txt")
+        run(capsys, "sample", "--family", "wc", "--mu", "0.4", "--rho", "0.4",
+            "--n", "300", "--seed", "2", "--out", path)
+        payload = self.fit_json(capsys, path, "wc")
+        res = mle_wrapped_cauchy(load_sample(path))
+        assert payload["evaluations"] == res.evaluations > 0
+        assert payload["converged"] is res.converged
+
+    def test_ssvm_mle_counts(self, capsys, tmp_path):
+        path = str(tmp_path / "ssvm.txt")
+        run(capsys, "sample", "--family", "ssvm", "--kappa", "1", "--lambda", "0.7",
+            "--n", "200", "--seed", "3", "--out", path)
+        flags = ("--de-pop", "12", "--de-gens", "10", "--tol", "1e-8", "--seed", "4")
+        payload = self.fit_json(capsys, path, "ssvm", *flags)
+        spec = EstimatorSpec(
+            kind="mle", optimizer="de+powell", de_pop=12, de_gens=10, tol=1e-8, seed=4
+        )
+        res = mle_ssvm(load_sample(path), spec)
+        assert payload["evaluations"] == res.evaluations > 0
+        assert payload["converged"] is res.converged
+        assert payload["objective"] == res.objective
+
     def test_text_output(self, capsys, sample_file):
         code, out, _ = run(
             capsys, "fit", "--family", "vm", "--estimator", "mle", "--data", sample_file
@@ -218,6 +260,22 @@ class TestExperiment:
         assert code == 0
         assert wide_path.read_text().splitlines()[0].startswith("log10N,MLE_mu")
 
+    @pytest.mark.parametrize("key", ("family", "theta0", "sweep", "replications"))
+    def test_missing_key(self, capsys, tmp_path, key):
+        cfg = {
+            "family": "vm",
+            "theta0": {"mu": 0.3, "kappa": 2.0},
+            "sweep": {"name": "log10N", "values": [1.5]},
+            "replications": 1,
+        }
+        del cfg[key]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "experiment", "--config", str(cfg_path), "--out",
+                           str(tmp_path / "o.csv"))
+        assert code == 2
+        assert repr(key) in err
+
     def test_bad_config(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"family": "vm", "theta0": {"kappa": 2.0},
@@ -226,6 +284,21 @@ class TestExperiment:
         code, _, _ = run(capsys, "experiment", "--config", str(cfg_path), "--out",
                          str(tmp_path / "o.csv"))
         assert code == 2
+
+
+class TestDirectoryInput:
+    @pytest.mark.parametrize("command", ("dist", "fit"))
+    def test_exit_2(self, capsys, tmp_path, command):
+        b = tmp_path / "b.txt"
+        b.write_text("0.1\n0.2\n")
+        if command == "dist":
+            argv = ("dist", str(tmp_path), str(b))
+        else:
+            argv = ("fit", "--family", "vm", "--estimator", "mle", "--data", str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestUsageErrors:

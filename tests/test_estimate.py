@@ -19,11 +19,11 @@ from circwass import (
     wasserstein_fit,
 )
 from circwass.circular import TWO_PI
-from circwass.estimate import circular_mean_resultant, fit_mle, loglik
+from circwass.estimate import circular_mean_resultant, fit_mle, mle
 from circwass.families import bessel_ratio
 from circwass.optimize import BoxConstraints, diff_evolution_min
 
-from conftest import bessel_series
+from conftest import bessel_series, loglik
 
 
 class TestInvertBesselRatio:
@@ -59,7 +59,7 @@ class TestMleVonMises:
     def test_symmetric_pairs(self):
         deltas = np.array([0.1, 0.35, 0.8])
         s = make_sample(np.concatenate([np.pi / 2 + deltas, np.pi / 2 - deltas]))
-        theta = mle_von_mises(s)
+        theta = mle_von_mises(s).theta_hat
         assert theta.mu == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_degenerate_error(self):
@@ -68,14 +68,14 @@ class TestMleVonMises:
 
     def test_rbar_one_clamps(self):
         with pytest.warns(UserWarning):
-            theta = mle_von_mises(make_sample([1.0, 1.0, 1.0]))
+            theta = mle_von_mises(make_sample([1.0, 1.0, 1.0])).theta_hat
         assert theta.kappa == 500.0
 
     def test_fisher_consistency(self):
         truth = FamilyParams("vm", mu=0.3, kappa=2.0)
         n = 100_000
         s = family_sample(truth, n, 123)
-        theta = mle_von_mises(s)
+        theta = mle_von_mises(s).theta_hat
         se = 1.0 / np.sqrt(n * family_fisher(truth)[1, 1])
         assert abs(theta.kappa - 2.0) <= 3.0 * se
 
@@ -83,7 +83,7 @@ class TestMleVonMises:
         # the defining equations: mu-hat is the circular mean direction and
         # A(kappa-hat) equals the mean resultant length
         s = family_sample(FamilyParams("vm", mu=2.0, kappa=5.0), 500, 7)
-        theta = mle_von_mises(s)
+        theta = mle_von_mises(s).theta_hat
         mu_bar, rbar = circular_mean_resultant(s)
         assert theta.mu == pytest.approx(mu_bar, abs=1e-12)
         assert bessel_ratio(theta.kappa) == pytest.approx(rbar, abs=1e-8)
@@ -109,14 +109,14 @@ class TestMleWrappedCauchy:
     def test_equispaced_low_rho(self):
         s = make_sample(TWO_PI * np.arange(200) / 200)
         res = mle_wrapped_cauchy(s)
-        assert res.theta.rho <= 0.05
+        assert res.theta_hat.rho <= 0.05
 
     def test_de_oracle(self):
         truth = FamilyParams("wc", mu=np.pi / 8, rho=0.4)
         s = family_sample(truth, 2000, 11)
         res = mle_wrapped_cauchy(s)
         assert res.converged
-        ll = loglik(res.theta, s)
+        ll = loglik(res.theta_hat, s)
         assert ll >= _de_loglik_oracle(s, "wc", seed=3) - 1e-6
 
     def test_rotation_equivariance(self):
@@ -124,8 +124,8 @@ class TestMleWrappedCauchy:
         delta = 2.2
         r1 = mle_wrapped_cauchy(s)
         r2 = mle_wrapped_cauchy(make_sample(s.angles + delta))
-        assert circ_dist(r2.theta.mu, r1.theta.mu + delta) <= 1e-9
-        assert r2.theta.rho == pytest.approx(r1.theta.rho, abs=1e-9)
+        assert circ_dist(r2.theta_hat.mu, r1.theta_hat.mu + delta) <= 1e-9
+        assert r2.theta_hat.rho == pytest.approx(r1.theta_hat.rho, abs=1e-9)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -257,6 +257,21 @@ class TestCircularSqError:
 
 
 class TestFitMleDispatch:
+    @pytest.mark.parametrize("family,truth", (
+        ("vm", FamilyParams("vm", mu=0.3, kappa=2.0)),
+        ("wc", FamilyParams("wc", mu=0.3, rho=0.4)),
+        ("ssvm", FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5)),
+        ("uniform", FamilyParams("uniform")),
+    ))
+    def test_one_result_type(self, family, truth):
+        # every MLE reports the mean negative log-likelihood as its objective
+        s = family_sample(truth, 100, 24)
+        spec = EstimatorSpec(kind="mle", optimizer="powell", tol=1e-8)
+        res = mle(s, family, spec)
+        assert res.objective == pytest.approx(-loglik(res.theta_hat, s) / s.n, abs=1e-14)
+        assert res.theta_hat == fit_mle(s, family, spec)
+        assert (res.evaluations == 0) == (family in ("vm", "uniform"))
+
     def test_uniform(self):
         s = make_sample([0.1, 0.2, 0.5])
         assert fit_mle(s, "uniform").family == "uniform"

@@ -31,6 +31,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="sweep"):
             tiny_config(sweep_name="gamma")
 
+    def test_unknown_estimator(self):
+        with pytest.raises(ValueError, match="unknown estimator 'w3'"):
+            tiny_config(estimators=("mle", "w3"))
+
     def test_fit_family(self):
         cfg = tiny_config(
             family="vm-contam",
