@@ -155,8 +155,9 @@ def _cmd_fisher(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
-    table = run_experiment(cfg, workers=args.workers)
+    # open --out first: an unwritable path should fail before the sweep runs
     with open(args.out, "w") as fh:
+        table = run_experiment(cfg, workers=args.workers)
         fh.write(table.to_wide_csv() if args.wide else table.to_csv())
     return 0
 

@@ -1,9 +1,10 @@
-"""Derivative-free optimization and selection primitives.
+"""Selection and derivative-free minimization over a parameter box.
 
-Contains the 1-D convex search behind the p > 1 offset search of
-``wp_general``, worst-case linear-time selection (numpy's introselect),
-Powell's direction-set method with periodic-dimension support, and
-rand/1/bin differential evolution.
+``select_kth`` is numpy's introselect. ``powell_min`` and
+``diff_evolution_min`` adapt scipy's Powell method and rand/1/bin
+differential evolution to ``BoxConstraints``, whose periodic dimensions
+wrap. scipy.optimize is imported inside them, so ``import circwass`` does
+not load it.
 """
 
 from dataclasses import dataclass
@@ -15,13 +16,10 @@ from .circular import TWO_PI
 __all__ = [
     "BoxConstraints",
     "OptimizerReport",
-    "convex_min_1d",
     "select_kth",
     "powell_min",
     "diff_evolution_min",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -67,39 +65,6 @@ class OptimizerReport:
     converged: bool
 
 
-def convex_min_1d(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section minimization of a convex f on [lo, hi].
-
-    Returns (argmin, value); the value is the smallest f seen, which is
-    never above f(lo) or f(hi).
-    """
-    if lo >= hi:
-        raise ValueError("lo must be below hi")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for x, fx in ((a, f(a)), (b, f(b))):
-        if fx < best_f:
-            best_x, best_f = x, fx
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        x, fx = (c, fc) if fc <= fd else (d, fd)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
-
-
 def select_kth(values, k: int) -> float:
     """k-th smallest element (0-based) without mutating the input, by numpy's
     introselect (``np.partition``, worst-case linear)."""
@@ -109,67 +74,6 @@ def select_kth(values, k: int) -> float:
     return float(np.partition(vals, k)[k])
 
 
-def _line_search(f, x, fx, direction, box: BoxConstraints, tol: float):
-    """Bounded Brent search for min_t f(project(x + t*d)); returns (t, value)."""
-    d = np.asarray(direction, dtype=float)
-    # travel limits from non-periodic box faces; periodic motion capped at a turn
-    t_lo, t_hi = -np.inf, np.inf
-    for i in range(box.dim):
-        if box.periodic[i] or d[i] == 0.0:
-            continue
-        a = (box.lower[i] - x[i]) / d[i]
-        b = (box.upper[i] - x[i]) / d[i]
-        t_lo = max(t_lo, min(a, b))
-        t_hi = min(t_hi, max(a, b))
-    scale = float(np.linalg.norm(d))
-    if scale == 0.0:
-        return 0.0, fx
-    cap = TWO_PI / scale
-    t_lo = max(t_lo, -cap)
-    t_hi = min(t_hi, cap)
-    if t_hi - t_lo < 1e-15:
-        return 0.0, fx
-
-    from scipy.optimize import minimize_scalar
-
-    xatol = max(tol * 1e-2, 1e-12)
-    f1d = lambda t: f(box.project(x + t * d))
-    res = minimize_scalar(
-        f1d, bounds=(t_lo, t_hi), method="bounded", options={"xatol": xatol}
-    )
-    t = float(res.x)
-    v = float(res.fun)
-    if v < fx:
-        return t, v
-    # No improvement found on the full interval. Near a sharp minimum the
-    # improving window along a coordinate can be orders of magnitude narrower
-    # than the interval, so probe a geometric ladder of step sizes. Only worth
-    # the evaluations when a high-precision solution was requested.
-    if tol > 1e-9:
-        return 0.0, fx
-    h = max(abs(t_lo), abs(t_hi)) / 4.0
-    floor = max(xatol, 1e-13)
-    while h > floor:
-        for tt in (h, -h):
-            if not t_lo <= tt <= t_hi:
-                continue
-            vt = f1d(tt)
-            if vt < fx:
-                lo2 = min(0.0, 8.0 * tt)
-                hi2 = max(0.0, 8.0 * tt)
-                res = minimize_scalar(
-                    f1d,
-                    bounds=(max(lo2, t_lo), min(hi2, t_hi)),
-                    method="bounded",
-                    options={"xatol": xatol},
-                )
-                if float(res.fun) < vt:
-                    return float(res.x), float(res.fun)
-                return tt, vt
-        h /= 8.0
-    return 0.0, fx
-
-
 def powell_min(
     f,
     x0,
@@ -177,89 +81,58 @@ def powell_min(
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> OptimizerReport:
-    """Powell's direction-set method with Brent line searches.
+    """scipy's bounded Powell method from x0; returns the best point evaluated.
 
-    Periodic dimensions wrap during the search. Stops when a full cycle
-    improves the objective by less than tol*(|f| + tol); hitting max_iter
-    yields converged=False.
+    A periodic coordinate is bounded to one turn centred on x0, and f must
+    wrap it: unbounded, the line searches run over many turns. scipy's
+    bounded line search may accept a worse point, so the best point seen is
+    returned, never one above f(x0). Hitting max_iter yields converged=False.
     """
-    evals = [0]
-
-    def fc(x):
-        evals[0] += 1
-        return float(f(x))
+    from scipy.optimize import minimize
 
     x = box.project(np.asarray(x0, dtype=float))
     if x.size != box.dim:
         raise ValueError("x0 dimension does not match box")
-    directions = [np.eye(box.dim)[i] for i in range(box.dim)]
-    fx = fc(x)
-    converged = False
-    for cycle in range(max_iter):
-        f_start = fx
-        x_start = x.copy()
-        biggest_drop, biggest_idx = 0.0, 0
-        for i, d in enumerate(directions):
-            t, v = _line_search(fc, x, fx, d, box, tol)
-            if fx - v > biggest_drop:
-                biggest_drop, biggest_idx = fx - v, i
-            if v < fx:
-                x = box.project(x + t * d)
-                fx = v
-        # replace the direction of largest decrease with the cycle displacement
-        disp = x - x_start
-        disp[box.periodic] = np.mod(disp[box.periodic] + np.pi, TWO_PI) - np.pi
-        if np.linalg.norm(disp) > 1e-14:
-            directions[biggest_idx] = disp / np.linalg.norm(disp)
-            t, v = _line_search(fc, x, fx, directions[biggest_idx], box, tol)
-            if v < fx:
-                x = box.project(x + t * directions[biggest_idx])
-                fx = v
-        if (cycle + 1) % (box.dim + 1) == 0:
-            directions = [np.eye(box.dim)[i] for i in range(box.dim)]
-        if f_start - fx < tol * (abs(fx) + tol):
-            converged = True
-            break
-    return OptimizerReport(argmin=x, value=fx, evaluations=evals[0], converged=converged)
+    lower = np.where(box.periodic, x - np.pi, box.lower)
+    upper = np.where(box.periodic, x + np.pi, box.upper)
+    seen = []  # (value, point) of every evaluation; scipy evaluates x0 first
+
+    def fc(y):
+        seen.append((float(f(y)), y.copy()))
+        return seen[-1][0]
+
+    res = minimize(
+        fc, x, method="Powell", bounds=list(zip(lower, upper)),
+        options={"xtol": max(tol * 1e-2, 1e-12), "ftol": tol, "maxiter": max_iter},
+    )
+    value, argmin = min(seen, key=lambda vx: vx[0])
+    return OptimizerReport(box.project(argmin), value, len(seen), bool(res.success))
 
 
 def diff_evolution_min(
     f,
     box: BoxConstraints,
     pop: int | None = None,
-    cr: float = 0.9,
-    fw: float = 0.7,
     gens: int = 300,
     seed=0,
 ) -> OptimizerReport:
-    """rand/1/bin differential evolution; deterministic given the seed.
-
-    The best-so-far value never worsens across generations. Periodic
-    dimensions wrap, others are clipped to the box.
+    """scipy's rand/1/bin differential evolution (F 0.7, CR 0.9) for gens
+    generations, pop*(gens + 1) evaluations unless the population becomes
+    uniform. Deterministic given the seed; periodic dimensions are searched
+    over their box span.
     """
+    from scipy.optimize import differential_evolution
+
     dim = box.dim
     if pop is None:
         pop = 15 * dim
-    if pop < 4:
-        raise ValueError("population must be at least 4")
+    if pop < 5:
+        raise ValueError("population must be at least 5")
     rng = np.random.default_rng(seed)
-    pts = box.lower + rng.uniform(0.0, 1.0, (pop, dim)) * (box.upper - box.lower)
-    fit = np.array([float(f(x)) for x in pts])
-    evals = pop
-    for _ in range(gens):
-        for i in range(pop):
-            choices = [j for j in range(pop) if j != i]
-            a, b, c = rng.choice(choices, size=3, replace=False)
-            mutant = pts[a] + fw * (pts[b] - pts[c])
-            cross = rng.uniform(0.0, 1.0, dim) < cr
-            cross[rng.integers(dim)] = True
-            trial = box.project(np.where(cross, mutant, pts[i]))
-            ft = float(f(trial))
-            evals += 1
-            if ft <= fit[i]:
-                pts[i] = trial
-                fit[i] = ft
-    best = int(np.argmin(fit))
-    return OptimizerReport(
-        argmin=pts[best].copy(), value=float(fit[best]), evaluations=evals, converged=True
+    init = box.lower + rng.uniform(0.0, 1.0, (pop, dim)) * (box.upper - box.lower)
+    res = differential_evolution(
+        f, list(zip(box.lower, box.upper)), strategy="rand1bin",
+        maxiter=gens, init=init, mutation=0.7, recombination=0.9, tol=0.0,
+        polish=False, rng=rng,
     )
+    return OptimizerReport(box.project(res.x), float(res.fun), int(res.nfev), True)

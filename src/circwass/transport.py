@@ -3,9 +3,9 @@
 At p = 1 every discrete distance is the exact CDF-offset formula over the
 merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
 equal-weight distances minimize over cyclic shifts of a sorted matching and
-general weights over a CDF offset. p must be finite and at least 1: for the
-concave costs of p < 1 a sorted matching need not be optimal. The order-1
-grid formula uses a linear-time median.
+general weights over a CDF offset, by scipy's bounded Brent search. p must
+be finite and at least 1: for the concave costs of p < 1 a sorted matching
+need not be optimal. The order-1 grid formula uses a linear-time median.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 
 from .circular import TWO_PI, CircularSample, DiscreteCircularDist
 from .families import FamilyParams, family_cdf
-from .optimize import convex_min_1d, select_kth
+from .optimize import select_kth
 
 __all__ = [
     "GridCdf",
@@ -210,11 +210,15 @@ def _nearest_kink(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: float
 def wp_general(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> float:
     """W_p for arbitrary weights. At p = 1 this is the exact CDF-offset
     formula. For p > 1 the exact objective in the CDF offset is piecewise
-    linear and convex (Delon, Salomon & Sobolevski 2010): golden-section
+    linear and convex (Delon, Salomon & Sobolevski 2010): bounded Brent
     search brackets its minimum, which sits at the nearest offset kink."""
     _check_p(p)
     if p == 1.0:
         return _w1_kernel(_atoms(a), _atoms(b))
+    from scipy.optimize import minimize_scalar
+
     objective = lambda alpha: _offset_integral(a, b, alpha, p)
-    alpha, best = convex_min_1d(objective, -1.5, 1.5, tol=1e-12)
-    return min(best, objective(_nearest_kink(a, b, alpha))) ** (1.0 / p)
+    res = minimize_scalar(
+        objective, bounds=(-1.5, 1.5), method="bounded", options={"xatol": 1e-12}
+    )
+    return min(res.fun, objective(_nearest_kink(a, b, res.x))) ** (1.0 / p)

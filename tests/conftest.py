@@ -12,13 +12,49 @@ import numpy as np
 from hypothesis import settings
 from scipy import integrate
 
-from circwass import DiscreteCircularDist, circ_dist, convex_min_1d, family_logpdf, family_pdf
+from circwass import DiscreteCircularDist, circ_dist, family_logpdf, family_pdf
 
 TWO_PI = 2.0 * np.pi
 
 # property tests draw the same examples on every run
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
+
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def convex_min_1d(f, lo: float, hi: float, tol: float = 1e-10):
+    """Golden-section minimization of a convex f on [lo, hi].
+
+    Returns (argmin, value); the value is the smallest f seen, which is
+    never above f(lo) or f(hi).
+    """
+    if lo >= hi:
+        raise ValueError("lo must be below hi")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    a, b = float(lo), float(hi)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for x, fx in ((a, f(a)), (b, f(b))):
+        if fx < best_f:
+            best_x, best_f = x, fx
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        x, fx = (c, fc) if fc <= fd else (d, fd)
+        if fx < best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
 
 
 def bessel_series(order: int, z: float) -> float:

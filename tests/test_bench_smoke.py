@@ -1,4 +1,5 @@
-"""The benchmark's gated workloads still run end to end on this checkout.
+"""The benchmark's gated workloads, and mc-ssvm, the only one that runs
+differential evolution, still run end to end on this checkout.
 
 `bench/run.py` reads the package's public names and ends with one JSON
 result line; a traceback anywhere in a run leaves that line out. One traced
@@ -24,7 +25,7 @@ def bench(*args):
     return proc.stdout.strip().splitlines()[-1]
 
 
-@pytest.mark.parametrize("workload", ("mc-vm-kappa", "dist-cli"))
+@pytest.mark.parametrize("workload", ("mc-vm-kappa", "mc-ssvm", "dist-cli"))
 def test_traced_op(workload):
     result = json.loads(bench("--workload", workload, "--seconds", "0", "--trace", "1"))
     assert result["correct"] is True

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from circwass import EstimatorSpec, load_sample, mle_ssvm, mle_von_mises, mle_wrapped_cauchy
+from circwass import cli
 from circwass.cli import run_cli
 
 from conftest import loglik, shift_scan_wp
@@ -275,6 +276,25 @@ class TestExperiment:
                            str(tmp_path / "o.csv"))
         assert code == 2
         assert repr(key) in err
+
+    def test_unwritable_out_before_sweep(self, capsys, tmp_path, monkeypatch):
+        cfg = {
+            "family": "vm",
+            "theta0": {"mu": 0.3, "kappa": 2.0},
+            "sweep": {"name": "log10N", "values": [1.5]},
+            "replications": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_experiment", no_sweep)
+        code, _, err = run(capsys, "experiment", "--config", str(cfg_path), "--out",
+                           str(tmp_path / "missing" / "o.csv"))
+        assert code == 2
+        assert "No such file or directory" in err
 
     def test_bad_config(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -233,6 +233,30 @@ class TestWassersteinFit:
         e = _wasserstein_objective(s, "vm", em_spec)(params_to_vector(theta))
         assert abs(g - e) <= 8 * np.pi / s.n
 
+    @pytest.mark.parametrize("estimator", ("w1", "w2"))
+    @pytest.mark.parametrize(
+        "truth",
+        (
+            FamilyParams("vm", mu=0.3, kappa=2.0),
+            FamilyParams("vm", mu=6.2, kappa=50.0),
+            FamilyParams("wc", mu=0.05, rho=0.6),
+        ),
+        ids=("vm-k2", "vm-k50", "wc"),
+    )
+    def test_not_above_truth(self, estimator, truth):
+        # the sweep's fit starts at the moments and must end at or below the
+        # objective at the sampling parameter; a search that runs mu over
+        # many turns and returns its last point ends far above it on vm-k2 w2
+        from circwass.estimate import _wasserstein_objective
+        from circwass.families import params_to_vector
+        from circwass.harness import estimator_spec_from_name
+
+        s = family_sample(truth, 1000, 0)
+        spec = estimator_spec_from_name(estimator)
+        res = wasserstein_fit(s, truth.family, spec)
+        at_truth = _wasserstein_objective(s, truth.family, spec)(params_to_vector(truth))
+        assert res.objective <= at_truth
+
     def test_mle_dominance(self):
         # the MLE's in-sample log-likelihood beats the projection estimate's
         for family, truth in (

@@ -4,12 +4,13 @@ import pytest
 from circwass import (
     BoxConstraints,
     circ_dist,
-    convex_min_1d,
     diff_evolution_min,
     powell_min,
     select_kth,
 )
 from circwass.circular import TWO_PI
+
+from conftest import convex_min_1d
 
 
 class TestConvexMin1d:
@@ -159,6 +160,14 @@ class TestPowell:
             lambda x: float(np.sum(np.abs(x - 3.0))), np.zeros(4), _plain_box(4), tol=1e-15, max_iter=1
         )
         assert not rep.converged
+
+    def test_never_above_start(self):
+        # a needle at the start and a wide basin at 5: a line search that
+        # misses the needle must not trade the start for the basin
+        f = lambda x: float(-np.exp(-(x[0] / 1e-3) ** 2) - 0.5 * np.exp(-(((x[0] - 5.0) / 2.0) ** 2)))
+        rep = powell_min(f, np.zeros(1), _plain_box(1), tol=1e-10)
+        assert rep.value <= f(np.zeros(1))
+        assert rep.value == f(rep.argmin)
 
     def test_respects_box(self):
         rep = powell_min(lambda x: float((x[0] + 20.0) ** 2), np.zeros(1), _plain_box(1), tol=1e-10)
