@@ -75,15 +75,12 @@ def make_sample(raw) -> CircularSample:
 
 
 def load_sample(path) -> CircularSample:
-    """Read a sample file: one angle (radians) per line, '#' comments ignored."""
-    values = []
+    """Read a sample file: one angle (radians) per line, '#' comments ignored;
+    a line that is not one number raises ValueError."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            values.append(float(line))
-    return make_sample(values)
+        lines = fh.read().split("\n")
+    values = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+    return make_sample(np.array(values, dtype=float))
 
 
 def save_sample(sample: CircularSample, path) -> None:

@@ -4,16 +4,18 @@ Mises, uniform, and the uniform-contaminated von Mises mixture.
 Each family exposes density, log-density, CDF (canonical cut at 0, winding
 extension), quantile, sampling and Fisher information. CLI names: ``vm``,
 ``wc``, ``ssvm``, ``uniform``, ``vm-contam``.
+
+vm, ssvm and vm-contam CDFs sum a Fourier series in I_j(kappa)/I_0(kappa), at
+any points (``family_cdf``) or on the grid 2*pi*i/D by one inverse FFT
+(``family_grid_cdf``). Their quantiles invert that grid CDF to 1e-10 for
+kappa <= 500.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# special before integrate: integrate loads scipy.linalg, which starts
-# OpenBLAS worker threads that slow the imports still to come (about 60 ms
-# of start-up on 2 vCPUs in the other order)
-from scipy import special, integrate
+from scipy import special
 
 from .circular import TWO_PI, CircularSample, make_sample, normalize_angle
 
@@ -29,6 +31,7 @@ __all__ = [
     "family_pdf",
     "family_logpdf",
     "family_cdf",
+    "family_grid_cdf",
     "family_quantile",
     "family_sample",
     "family_fisher",
@@ -111,14 +114,13 @@ def _vm_pdf(x, mu, kappa):
     return np.exp(kappa * (np.cos(x - mu) - 1.0)) / (TWO_PI * special.ive(0, kappa))
 
 
-def _vm_cdf0(x, mu, kappa, ratios=None):
+def _vm_cdf0(x, mu, kappa):
     """von Mises CDF on the cut [0, 2*pi], via the Fourier/Bessel series.
 
     sin(j*(x - mu)) is built by the angle-addition recurrence, avoiding a
     trig call per harmonic.
     """
-    if ratios is None:
-        ratios = _vm_fourier_ratios(kappa)
+    ratios = _vm_fourier_ratios(kappa)
     x = np.asarray(x, dtype=float)
     t = x - mu
     s1, c1 = np.sin(t), np.cos(t)
@@ -142,34 +144,35 @@ def _wc_winding(t, rho):
     return k + np.arctan2(c * np.sin(t0 / 2.0), np.cos(t0 / 2.0)) / np.pi
 
 
-def _wc_cdf0(x, mu, rho):
-    return _wc_winding(np.asarray(x, dtype=float) - mu, rho) - _wc_winding(-mu, rho)
+def _vm_cdf_grid(mu, kappa, D):
+    """von Mises CDF at 2*pi*i/D, i = 1..D, by one inverse FFT: there e^{ijx}
+    has period D in j, so folding (r_j/j)*e^{-ij*mu} into bins j mod D is exact."""
+    ratios = _vm_fourier_ratios(kappa)
+    j = np.arange(1, ratios.size + 1)
+    spectrum = np.zeros(D, dtype=complex)
+    np.add.at(spectrum, j % D, ratios / j * np.exp(-1j * j * mu))
+    # s[i] = sum_j (r_j/j) sin(j*(2*pi*i/D - mu)); F(0) = 0 fixes the constant
+    s = D * np.fft.ifft(spectrum).imag
+    return np.arange(1, D + 1) / D + (np.roll(s, -1) - s[0]) / np.pi
 
 
-def _ssvm_skew_term(x, mu, kappa, lam):
-    # integral of the lambda*sin(t-mu) part of the density from 0 to x
-    i0e = special.ive(0, kappa)
-    a = np.exp(kappa * (np.cos(mu) - 1.0))
-    b = np.exp(kappa * (np.cos(np.asarray(x, dtype=float) - mu) - 1.0))
-    return lam * (a - b) / (TWO_PI * kappa * i0e)
-
-
-def _cdf0(theta: FamilyParams, x):
-    """CDF on the canonical cut, valid for x in [0, 2*pi]."""
+def _cdf0(theta: FamilyParams, x, D: int = 0):
+    """CDF on the canonical cut, valid for x in [0, 2*pi]. D > 0 says that x
+    is the grid 2*pi*i/D, i = 1..D, where the von Mises part is one FFT."""
     x = np.asarray(x, dtype=float)
     f = theta.family
     if f == "uniform":
         return x / TWO_PI
-    if f == "vm":
-        return _vm_cdf0(x, theta.mu, theta.kappa)
     if f == "wc":
-        return _wc_cdf0(x, theta.mu, theta.rho)
+        return _wc_winding(x - theta.mu, theta.rho) - _wc_winding(-theta.mu, theta.rho)
+    mu, kappa = theta.mu, theta.kappa
+    vm = _vm_cdf_grid(mu, kappa, D) if D else _vm_cdf0(x, mu, kappa)
+    if f == "vm":
+        return vm
     if f == "ssvm":
-        return _vm_cdf0(x, theta.mu, theta.kappa) + _ssvm_skew_term(
-            x, theta.mu, theta.kappa, theta.lam
-        )
+        # the lambda*sin(t - mu) part of the density integrates to a pdf difference
+        return vm + theta.lam / kappa * (_vm_pdf(0.0, mu, kappa) - _vm_pdf(x, mu, kappa))
     if f == "vm-contam":
-        vm = _vm_cdf0(x, theta.mu, theta.kappa)
         return (1.0 - theta.eps) * vm + theta.eps * x / TWO_PI
     raise AssertionError(f)
 
@@ -238,43 +241,34 @@ def family_cdf(theta: FamilyParams, x):
     return out if out.ndim else float(out)
 
 
-def _quantile_bisect(theta: FamilyParams, u: np.ndarray) -> np.ndarray:
-    """Vectorized monotone CDF inversion: grid bracket, then safeguarded
-    Newton with bisection fallback, iterating only unconverged points."""
-    grid = np.linspace(0.0, TWO_PI, 513)
-    fg = _cdf0(theta, grid)
-    idx = np.clip(np.searchsorted(fg, u, side="left"), 1, grid.size - 1)
-    lo = grid[idx - 1].copy()
-    hi = grid[idx].copy()
-    df = fg[idx] - fg[idx - 1]
-    frac = np.where(df > 0.0, (u - fg[idx - 1]) / np.where(df > 0.0, df, 1.0), 0.5)
-    x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-    active = np.arange(u.size)
-    for _ in range(80):
-        if active.size == 0:
-            break
-        xs = x[active]
-        r = _cdf0(theta, xs) - u[active]
-        below = r < 0.0
-        lo[active[below]] = xs[below]
-        hi[active[~below]] = xs[~below]
-        done = np.abs(r) <= 1e-14
-        keep = ~done
-        active = active[keep]
-        if active.size == 0:
-            break
-        xs, r = xs[keep], r[keep]
-        pdf = np.asarray(family_pdf(theta, xs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xs - r / pdf
-        bad = ~np.isfinite(xn) | (xn <= lo[active]) | (xn >= hi[active])
-        xn[bad] = 0.5 * (lo[active][bad] + hi[active][bad])
-        x[active] = xn
-    # the bisection invariant keeps F(hi) >= u; land just above the target
-    x[active] = hi[active]
-    x[u <= fg[0]] = 0.0
-    x[u >= 1.0] = TWO_PI
-    return x
+def family_grid_cdf(theta: FamilyParams, D: int) -> np.ndarray:
+    """CDF at the D grid points 2*pi*i/D, i = 1..D, exact up to rounding."""
+    return _cdf0(theta, TWO_PI * np.arange(1, D + 1) / D, D)
+
+
+def _quantile_table(theta: FamilyParams, u: np.ndarray) -> np.ndarray:
+    """Invert the CDF table at 2*pi*k/M, k = 0..M: bracket each level, then
+    take a cubic Hermite step with slopes 1/pdf, a and b relative to the
+    secant. It is linear where they are not finite or break monotonicity,
+    a^2 + b^2 > 9 (Fritsch & Carlson 1980)."""
+    # the step scales with the vm width 1/sqrt(kappa); in probability the
+    # cubic step errs by ~16*kappa^2/M^4 (6e-11 at kappa 500, M = 2^14) and
+    # the linear one across a zero of the ssvm density by ~step^3/100
+    M = 2 ** int(np.clip(14 + np.ceil(0.5 * np.log2(theta.kappa / KAPPA_BOX[1])), 12, 14))
+    step = TWO_PI / M
+    # rounding can dip the table where the density underflows
+    table = np.maximum.accumulate(np.concatenate([[0.0], family_grid_cdf(theta, M)]))
+    k = np.clip(np.searchsorted(table, u, side="left"), 1, M)
+    x0 = step * (k - 1)
+    h = table[k] - table[k - 1]
+    with np.errstate(all="ignore"):
+        t = np.clip((u - table[k - 1]) / h, 0.0, 1.0)
+        a = h / (step * family_pdf(theta, x0))
+        b = h / (step * family_pdf(theta, x0 + step))
+        linear = ~(a * a + b * b <= 9.0)
+    a[linear] = b[linear] = 1.0
+    x = x0 + step * (t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * (a * (1.0 - t) - b * t))
+    return np.clip(x, x0, x0 + step)
 
 
 def family_quantile(theta: FamilyParams, u):
@@ -297,10 +291,10 @@ def family_quantile(theta: FamilyParams, u):
         w = np.pi * (v - k)
         t = TWO_PI * k + 2.0 * np.arctan2(np.sin(w), c * np.cos(w))
         out = np.clip(theta.mu + t, 0.0, TWO_PI)
-        out[u >= 1.0] = TWO_PI
-        out[u <= 0.0] = 0.0
     else:
-        out = _quantile_bisect(theta, u)
+        out = _quantile_table(theta, u)
+    out[u >= 1.0] = TWO_PI
+    out[u <= 0.0] = 0.0
     return float(out[0]) if scalar else out
 
 
@@ -356,13 +350,15 @@ def family_fisher(theta: FamilyParams) -> np.ndarray:
         k, lam = theta.kappa, theta.lam
         if 1.0 - abs(lam) < 1e-12:
             raise ValueError("Fisher undefined/divergent at boundary lambda = +-1")
+        from scipy.integrate import quad
+
         i0 = special.ive(0, k)
         a1 = float(special.ive(1, k) / i0)
         a2 = float(special.ive(2, k) / i0)
 
         def expect(g):
             # (1/(2*pi*I0)) * integral of exp(k*cos x) * g(x) over [-pi, pi]
-            val, _ = integrate.quad(
+            val, _ = quad(
                 lambda x: np.exp(k * (np.cos(x) - 1.0)) * g(x),
                 -np.pi,
                 np.pi,

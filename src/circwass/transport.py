@@ -5,7 +5,8 @@ merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
 equal-weight distances minimize over cyclic shifts of a sorted matching and
 general weights over a CDF offset, by scipy's bounded Brent search. p must
 be finite and at least 1: for the concave costs of p < 1 a sorted matching
-need not be optimal. The order-1 grid formula uses a linear-time median.
+need not be optimal. The order-1 grid formula uses a linear-time median; a
+family's CDF on the grid comes from ``family_grid_cdf``, one inverse FFT.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circular import TWO_PI, CircularSample, DiscreteCircularDist
-from .families import FamilyParams, family_cdf
+# family_cdf stays importable here: bench/spans.py traces it under this module
+from .families import FamilyParams, family_cdf, family_grid_cdf  # noqa: F401
 from .optimize import select_kth
 
 __all__ = [
@@ -53,17 +55,16 @@ def grid_cdf_of(source, D: int) -> GridCdf:
     """CDF of a sample or family at the D grid points 2*pi*i/D, i = 1..D."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    grid = TWO_PI * np.arange(1, D + 1) / D
     if isinstance(source, CircularSample):
+        grid = TWO_PI * np.arange(1, D + 1) / D
         # atoms exactly at the cut count as 2*pi, landing in the last cell
         zeros = int(np.searchsorted(source.angles, 0.0, side="right"))
         vals = (np.searchsorted(source.angles, grid, side="right") - zeros) / source.n
-        vals[-1] = 1.0
     elif isinstance(source, FamilyParams):
-        vals = np.asarray(family_cdf(source, grid))
-        vals[-1] = 1.0
+        vals = family_grid_cdf(source, D)
     else:
         raise TypeError("source must be a CircularSample or FamilyParams")
+    vals[-1] = 1.0
     return GridCdf(np.clip(vals, 0.0, 1.0))
 
 

@@ -133,6 +133,14 @@ class TestDist:
         code, _, _ = run(capsys, "dist", sample_file, "/nonexistent/b.txt")
         assert code == 2
 
+    def test_malformed_line(self, capsys, tmp_path, sample_file):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# angles\n0.5\n\n0.7 0.9\n1.25\n")
+        code, out, err = run(capsys, "dist", sample_file, str(bad))
+        assert code == 2
+        assert out == ""
+        assert "could not convert" in err
+
 
 class TestFit:
     @pytest.fixture

@@ -1,7 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate, optimize
 
+import circwass
 from circwass import (
     FamilyParams,
     family_cdf,
@@ -12,7 +18,7 @@ from circwass import (
     family_sample,
 )
 from circwass.circular import TWO_PI
-from circwass.families import _vm_fourier_ratios, bessel_ratio
+from circwass.families import RHO_BOX, _vm_fourier_ratios, bessel_ratio, family_grid_cdf
 
 from conftest import bessel_series, cdf_quad, empirical_cdf
 
@@ -35,6 +41,24 @@ def random_theta(rng, family):
 
 
 ALL_FAMILIES = ("vm", "wc", "ssvm", "uniform", "vm-contam")
+
+
+@st.composite
+def any_theta(draw):
+    """Parameters of any family, spanning kappa in [1e-3, 500], rho over its
+    box, lambda in [-1, 1] and epsilon in [0, 1]."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    mu = draw(st.floats(0.0, TWO_PI))
+    kappa = draw(st.floats(1e-3, 500.0))
+    if family == "vm":
+        return FamilyParams("vm", mu=mu, kappa=kappa)
+    if family == "wc":
+        return FamilyParams("wc", mu=mu, rho=draw(st.floats(*RHO_BOX)))
+    if family == "ssvm":
+        return FamilyParams("ssvm", mu=mu, kappa=kappa, lam=draw(st.floats(-1.0, 1.0)))
+    if family == "uniform":
+        return FamilyParams("uniform")
+    return FamilyParams("vm-contam", mu=mu, kappa=kappa, eps=draw(st.floats(0.0, 1.0)))
 
 
 class TestFamilyParams:
@@ -185,7 +209,23 @@ class TestCdf:
             assert np.allclose(family_cdf(theta, x + TWO_PI * k), v + k, atol=1e-12)
 
 
+class TestGridCdf:
+    # D from 2 up, below the series length too, so the FFT folds harmonics
+    @given(any_theta(), st.one_of(st.integers(2, 64), st.integers(2, 5000)))
+    def test_matches_series(self, theta, D):
+        grid = TWO_PI * np.arange(1, D + 1) / D
+        assert np.allclose(family_grid_cdf(theta, D), family_cdf(theta, grid), rtol=0, atol=1e-12)
+
+
 class TestQuantile:
+    @given(any_theta(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    def test_table_inverse(self, theta, levels):
+        u = np.sort(np.concatenate([[0.0, 1.0], levels]))
+        x = family_quantile(theta, u)
+        assert np.all(np.abs(family_cdf(theta, x) - u) <= 1e-10)
+        assert np.all(np.diff(x) >= 0.0)
+        assert x[0] == 0.0 and x[-1] == TWO_PI
+
     def test_uniform(self):
         assert family_quantile(FamilyParams("uniform"), 0.25) == pytest.approx(np.pi / 2)
 
@@ -206,6 +246,17 @@ class TestQuantile:
         u = np.linspace(0.01, 0.99, 99)
         x = family_quantile(theta, u)
         assert np.allclose(family_cdf(theta, x), u, atol=1e-9)
+
+    @pytest.mark.parametrize("lam", (-1.0, 1.0))
+    def test_ssvm_density_zero(self, lam):
+        # levels in the table cell holding the zero of 1 + lam*sin(x - mu),
+        # where the inverse is not smooth
+        for mu in np.linspace(0.0, TWO_PI, 7, endpoint=False):
+            theta = FamilyParams("ssvm", mu=mu, kappa=1e-3, lam=lam)
+            zero = (mu - lam * np.pi / 2.0) % TWO_PI
+            u = family_cdf(theta, zero + np.linspace(-2e-3, 2e-3, 41))
+            x = family_quantile(theta, u)
+            assert np.all(np.abs(family_cdf(theta, x) - u) <= 1e-10)
 
     def test_extreme_kappa_roundtrip(self):
         theta = FamilyParams("vm", mu=1.0, kappa=500.0)
@@ -330,6 +381,19 @@ class TestFisher:
             family_fisher(FamilyParams("wc", rho=1.0 - 1e-13))
         with pytest.raises(ValueError, match="boundary"):
             family_fisher(FamilyParams("ssvm", kappa=1.0, lam=1.0))
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate pulls in scipy.linalg and its BLAS threads; only
+        # the ssvm Fisher matrix needs it
+        src = str(Path(circwass.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import circwass; "
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_unavailable_families(self):
         with pytest.raises(ValueError):
