@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .circular import discrete_from_sample, load_sample, save_sample
 from .estimate import mle, wasserstein_fit
@@ -37,6 +38,7 @@ def _theta_from_args(args) -> FamilyParams:
     return FamilyParams(args.family, **{k: v for k, v in kwargs.items() if v is not None})
 
 
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="circwass")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,14 +2,15 @@
 
 At p = 1 every discrete distance is the exact CDF-offset formula over the
 merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
-equal-weight distances minimize over cyclic shifts of a sorted matching and
-general weights over a CDF offset, by scipy's bounded Brent search. p must
-be finite and at least 1: for the concave costs of p < 1 a sorted matching
-need not be optimal. The order-1 grid formula uses a linear-time median; a
-family's CDF on the grid comes from ``family_grid_cdf``, one inverse FFT.
+equal-weight distances search the cyclic shifts of a sorted matching (each
+one slice of the atoms laid over three turns), general weights a CDF offset
+by scipy's bounded Brent search. p must be finite and at least 1: for the
+concave costs of p < 1 a sorted matching need not be optimal. The order-1
+grid formula uses a linear-time median and ``family_grid_cdf`` (real FFT).
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -88,23 +89,23 @@ def _check_equal_weight_pair(a, b):
         raise ValueError("equal-weight inputs required")
 
 
-def _shift_cost_arrays(xa: np.ndarray, xb: np.ndarray, k: int, p: float) -> float:
+def _shift_costs(xa: np.ndarray, xb: np.ndarray, p: float):
+    """Memoized cost of cyclic shift k, mean |xa[i] - xb[i + k]|^p (np.mean's
+    sum and division), xb wound by a turn where i + k leaves [0, n)."""
     n = xa.size
-    idx = np.arange(n) + k
-    wind, idx = np.divmod(idx, n)
-    return float(np.mean(np.abs(xa - (xb[idx] + TWO_PI * wind)) ** p))
+    tripled = np.concatenate([xb - TWO_PI, xb, xb + TWO_PI])
+
+    @cache
+    def cost(k: int) -> float:
+        return float(np.add.reduce(np.abs(xa - tripled[n + k : 2 * n + k]) ** p)) / n
+
+    return cost
 
 
 def _wp_equal_weight_arrays(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
     """W_p between equal-weight atom lists (sorted), via convex search over shifts."""
     n = xa.size
-    cache: dict[int, float] = {}
-
-    def cost(k: int) -> float:
-        if k not in cache:
-            cache[k] = _shift_cost_arrays(xa, xb, k, p)
-        return cache[k]
-
+    cost = _shift_costs(xa, xb, p)
     lo, hi = -n, n
     while hi - lo > 2:
         mid = (lo + hi) // 2

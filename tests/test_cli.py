@@ -338,3 +338,14 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 1
+
+    def test_error_then_good_call(self, capsys, tmp_path):
+        # the parser is built once per process: a failed parse must not leak
+        # into the next call
+        path = tmp_path / "a.txt"
+        path.write_text("0.1\n2.0\n4.0\n")
+        assert run(capsys, "dist", str(path), str(path), "--bogus")[0] == 1
+        code, out, _ = run(capsys, "dist", str(path), str(path), "--p", "2")
+        assert code == 0
+        assert float(out) == 0.0
+        assert cli.build_parser() is cli.build_parser()

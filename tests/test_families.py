@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 import circwass
 from circwass import (
@@ -104,6 +104,15 @@ class TestBessel:
             for order in (1, 2, 5):
                 ref = bessel_series(order, z) / i0
                 assert ratios[order - 1] == pytest.approx(ref, rel=1e-12)
+
+    @given(st.one_of(st.just(0.0), st.floats(1e-3, 500.0)))
+    def test_ive_oracle(self, kappa):
+        # every kept ratio, and the truncation point, against scipy's scaled Bessels
+        ratios = _vm_fourier_ratios(kappa)
+        ref = special.ive(np.arange(1, 2000), kappa) / special.ive(0, kappa)
+        last = max(1, int(np.count_nonzero(ref >= 1e-16)))
+        assert ratios.size == last
+        assert np.allclose(ratios, ref[:last], rtol=1e-13, atol=0.0)
 
     def test_recurrence(self):
         # I_{j-1}(z) - I_{j+1}(z) = (2j/z) I_j(z), divided through by I_0(z)
@@ -262,6 +271,13 @@ class TestQuantile:
         theta = FamilyParams("vm", mu=1.0, kappa=500.0)
         u = np.array([0.001, 0.1, 0.5, 0.9, 0.999])
         assert np.allclose(family_cdf(theta, family_quantile(theta, u)), u, atol=1e-9)
+
+    @pytest.mark.parametrize("kappa", (1000.0, 2000.0, 8000.0))
+    def test_roundtrip_above_box(self, kappa):
+        # above KAPPA_BOX the table grows to 2^15 and 2^16 points
+        theta = FamilyParams("vm", mu=1.0, kappa=kappa)
+        u = np.linspace(0.0, 1.0, 20001)
+        assert np.max(np.abs(family_cdf(theta, family_quantile(theta, u)) - u)) <= 1e-10
 
     def test_endpoints(self):
         theta = FamilyParams("vm", mu=0.3, kappa=2.0)

@@ -11,6 +11,7 @@ from circwass import (
     discrete_from_sample,
     family_cdf,
     family_quantile,
+    family_sample,
     grid_cdf_of,
     make_sample,
     normalize_angle,
@@ -20,7 +21,7 @@ from circwass import (
     wp_general,
 )
 from circwass.circular import TWO_PI
-from circwass.transport import _shift_cost_arrays
+from circwass.transport import _shift_costs
 from scipy import optimize
 
 from conftest import (
@@ -58,19 +59,20 @@ class TestShiftCost:
 
     def test_identity(self):
         a, _ = random_discrete_pair(np.random.default_rng(30), 8)
-        assert _shift_cost_arrays(a.support, a.support, 0, 2.0) == 0.0
+        assert _shift_costs(a.support, a.support, 2.0)(0) == 0.0
 
     def test_single_atoms(self):
         for p in (1.0, 2.0):
-            cost = _shift_cost_arrays(np.array([0.0]), np.array([np.pi / 2]), 0, p)
+            cost = _shift_costs(np.array([0.0]), np.array([np.pi / 2]), p)(0)
             assert cost == pytest.approx((np.pi / 2) ** p)
 
     def test_naive_oracle(self):
         rng = np.random.default_rng(31)
         a, b = random_discrete_pair(rng, 6)
-        for k in (-5, -2, 0, 2, 5):
-            for p in (1.0, 1.5, 2.0):
-                assert _shift_cost_arrays(a.support, b.support, k, p) == pytest.approx(
+        for p in (1.0, 1.5, 2.0):
+            cost = _shift_costs(a.support, b.support, p)
+            for k in (-6, -5, -2, 0, 2, 5, 6):
+                assert cost(k) == pytest.approx(
                     naive_shift_cost(a.support, b.support, k, p), abs=1e-13
                 )
 
@@ -156,6 +158,27 @@ def equal_mass_atoms(theta, n):
     """The equal-mass objective's model atoms: quantiles at k/n, k = 1..n,
     the level-1 quantile (2*pi) wrapped to the cut point 0."""
     return np.sort(normalize_angle(family_quantile(theta, np.arange(1, n + 1) / n)))
+
+
+class TestShiftSearchFitScale:
+    """The shift search at the size of a W2 fit: a 1,000-point sample against
+    the model's quantile atoms, with the model near and far from the data."""
+
+    @pytest.mark.parametrize("kappa", (1e-3, 2.0, 400.0))
+    @pytest.mark.parametrize("offset", (0.01, np.pi), ids=("near", "far"))
+    @pytest.mark.parametrize("degrees", (False, True), ids=("raw", "whole-degrees"))
+    def test_shift_scan_oracle(self, kappa, offset, degrees):
+        data = family_sample(FamilyParams("vm", mu=0.3, kappa=kappa), 1000, seed=41).angles
+        model = FamilyParams("vm", mu=0.3 + offset, kappa=kappa)
+        atoms = family_quantile(model, np.arange(1, 1001) / 1000)
+        if degrees:
+            # whole degrees tie many atoms on both sides
+            data, atoms = (np.radians(np.round(np.degrees(x))) for x in (data, atoms))
+        a, b = make_sample(data), make_sample(atoms)
+        for p in (1.5, 2.0, 3.0):
+            assert wp_discrete(a, b, p) == pytest.approx(
+                shift_scan_wp(a.angles, b.angles, p), abs=1e-12
+            )
 
 
 class TestDiscretize:
