@@ -8,14 +8,16 @@ extension), quantile, sampling and Fisher information. CLI names: ``vm``,
 vm, ssvm and vm-contam CDFs sum a Fourier series in I_j(kappa)/I_0(kappa),
 ratios taken by backward recurrence, at any points (``family_cdf``) or on
 the grid 2*pi*i/D by one real inverse FFT (``family_grid_cdf``). Their
-quantiles invert that grid CDF to 1e-10 for kappa up to 8000.
+quantiles invert that grid CDF to 1e-10 for kappa up to 8000. The scaled
+Bessel functions e^{-kappa} I_nu(kappa), nu <= 2, of the density, the MLE
+and the Fisher entries are plain series, so only the ssvm Fisher matrix
+imports scipy (its quadrature).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from scipy import special
 
 from .circular import TWO_PI, CircularSample, make_sample, normalize_angle
 
@@ -94,9 +96,30 @@ class FamilyParams:
             raise ValueError("epsilon must lie in [0, 1]")
 
 
+def _ive(nu: int, kappa: float) -> float:
+    """e^{-kappa} I_nu(kappa) for nu in {0, 1, 2}: the power series below
+    kappa = 30, the large-argument expansion (DLMF 10.40.1) above, both
+    summed until a term drops below 1e-17 of the total."""
+    kappa = float(kappa)
+    if kappa < 30.0:
+        half, m = kappa / 2.0, 0
+        term = total = half**nu / math.factorial(nu)
+        while term > 1e-17 * total:
+            m += 1
+            term *= half * half / (m * (m + nu))
+            total += term
+        return total * math.exp(-kappa)
+    term, total, k = 1.0, 1.0, 0
+    while abs(term) > 1e-17 * total:
+        k += 1
+        term *= ((2 * k - 1) ** 2 - 4 * nu * nu) / (8.0 * k * kappa)
+        total += term
+    return total / math.sqrt(TWO_PI * kappa)
+
+
 def bessel_ratio(kappa: float) -> float:
     """A(kappa) = I_1(kappa)/I_0(kappa), computed with scaled Bessels."""
-    return float(special.ive(1, kappa) / special.ive(0, kappa))
+    return _ive(1, kappa) / _ive(0, kappa)
 
 
 def _vm_fourier_ratios(kappa: float) -> np.ndarray:
@@ -112,7 +135,7 @@ def _vm_fourier_ratios(kappa: float) -> np.ndarray:
 
 def _vm_pdf(x, mu, kappa):
     # exp(kappa*(cos-1)) / (2*pi*ive0) avoids overflow at large kappa
-    return np.exp(kappa * (np.cos(x - mu) - 1.0)) / (TWO_PI * special.ive(0, kappa))
+    return np.exp(kappa * (np.cos(x - mu) - 1.0)) / (TWO_PI * _ive(0, kappa))
 
 
 def _vm_cdf0(x, mu, kappa):
@@ -152,13 +175,18 @@ def _vm_cdf_grid(mu, kappa, D):
     ratios = _vm_fourier_ratios(kappa)
     j = np.arange(1, ratios.size + 1)
     coef = -0.5j * D * ratios / j * np.exp(-1j * j * mu)
-    b = j % D
     spectrum = np.zeros(D // 2 + 1, dtype=complex)
-    np.add.at(spectrum, np.minimum(b, D - b), np.where(b > D - b, coef.conj(), coef))
-    spectrum[[0, -1] if D % 2 == 0 else 0] *= 2.0
+    if ratios.size < D // 2:  # no harmonic folds: bin j holds coef_j alone
+        spectrum[1 : ratios.size + 1] = coef
+    else:
+        b = j % D
+        np.add.at(spectrum, np.minimum(b, D - b), np.where(b > D - b, coef.conj(), coef))
+        spectrum[[0, -1] if D % 2 == 0 else 0] *= 2.0
     # s[i] = sum_j (r_j/j) sin(j*(2*pi*i/D - mu)); F(0) = 0 fixes the constant
     s = np.fft.irfft(spectrum, D)
-    return np.arange(1, D + 1) / D + (np.roll(s, -1) - s[0]) / np.pi
+    s[:-1] = s[1:] - s[0]
+    s[-1] = 0.0
+    return np.arange(1, D + 1) / D + s / np.pi
 
 
 def _cdf0(theta: FamilyParams, x, D: int = 0):
@@ -212,24 +240,16 @@ def family_logpdf(theta: FamilyParams, x):
     f = theta.family
     if f == "uniform":
         out = np.full_like(x, -np.log(TWO_PI))
-    elif f == "vm":
-        k = theta.kappa
-        log_i0 = np.log(special.ive(0, k)) + k
-        out = k * np.cos(x - theta.mu) - np.log(TWO_PI) - log_i0
     elif f == "wc":
         den = 1.0 + theta.rho**2 - 2.0 * theta.rho * np.cos(x - theta.mu)
         out = np.log(1.0 - theta.rho**2) - np.log(TWO_PI) - np.log(den)
-    elif f == "ssvm":
+    elif f in ("vm", "ssvm"):
         k = theta.kappa
-        log_i0 = np.log(special.ive(0, k)) + k
-        factor = 1.0 + theta.lam * np.sin(x - theta.mu)
-        with np.errstate(divide="ignore"):
-            out = (
-                k * np.cos(x - theta.mu)
-                - np.log(TWO_PI)
-                - log_i0
-                + np.where(factor > 0.0, np.log(np.maximum(factor, 1e-300)), -np.inf)
-            )
+        out = k * np.cos(x - theta.mu) - np.log(TWO_PI) - (math.log(_ive(0, k)) + k)
+        if f == "ssvm":
+            factor = 1.0 + theta.lam * np.sin(x - theta.mu)
+            with np.errstate(divide="ignore"):
+                out = out + np.where(factor > 0.0, np.log(np.maximum(factor, 1e-300)), -np.inf)
     else:
         with np.errstate(divide="ignore"):
             out = np.log(family_pdf(theta, x))
@@ -334,9 +354,8 @@ def family_sample(theta: FamilyParams, n: int, seed) -> CircularSample:
 
 
 def _vm_fisher_entries(kappa: float) -> tuple[float, float]:
-    i0 = special.ive(0, kappa)
-    a1 = float(special.ive(1, kappa) / i0)
-    a2 = float(special.ive(2, kappa) / i0)
+    i0 = _ive(0, kappa)
+    a1, a2 = _ive(1, kappa) / i0, _ive(2, kappa) / i0
     return kappa * a1, 0.5 + 0.5 * a2 - a1**2
 
 
@@ -359,9 +378,8 @@ def family_fisher(theta: FamilyParams) -> np.ndarray:
             raise ValueError("Fisher undefined/divergent at boundary lambda = +-1")
         from scipy.integrate import quad
 
-        i0 = special.ive(0, k)
-        a1 = float(special.ive(1, k) / i0)
-        a2 = float(special.ive(2, k) / i0)
+        i0 = _ive(0, k)
+        a1, a2 = _ive(1, k) / i0, _ive(2, k) / i0
 
         def expect(g):
             # (1/(2*pi*I0)) * integral of exp(k*cos x) * g(x) over [-pi, pi]

@@ -212,7 +212,7 @@ def _run_cell(cfg: ExperimentConfig, si: int, ri: int):
             for name, e, t in zip(names, est, truth):
                 errs[name] = circular_sq_error(e, t) if name == "mu" else float(e - t) ** 2
             errors[label] = errs
-        except Exception as exc:  # recorded per row, never fatal
+        except (ValueError, ArithmeticError) as exc:  # a numerical failure, recorded per row
             failures[label] = repr(exc)
     return si, ri, errors, failures
 

@@ -3,10 +3,11 @@
 At p = 1 every discrete distance is the exact CDF-offset formula over the
 merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
 equal-weight distances search the cyclic shifts of a sorted matching (each
-one slice of the atoms laid over three turns), general weights a CDF offset
-by scipy's bounded Brent search. p must be finite and at least 1: for the
-concave costs of p < 1 a sorted matching need not be optimal. The order-1
-grid formula uses a linear-time median and ``family_grid_cdf`` (real FFT).
+one slice of the atoms laid over three turns); general weights bisect the
+kinks of the exact CDF-offset objective on the sign of its slope. p must
+be finite and at least 1: for the concave costs of p < 1 a sorted matching
+need not be optimal. The order-1 grid formula uses a linear-time median
+and ``family_grid_cdf`` (real FFT). Nothing here imports scipy.
 """
 
 from dataclasses import dataclass
@@ -175,52 +176,51 @@ def w1_grid(q: GridCdf, pm: GridCdf) -> float:
     return float(TWO_PI / q.D * np.sum(np.abs(d - m)))
 
 
-def _offset_integral(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: float, p: float) -> float:
-    """Exact integral over u of |Qa^{-1}(u) - Qb^{-1}(u + alpha)|^p."""
-    cum_a = a.cumweights()
-    cum_b = b.cumweights()
-    # breakpoints where either quantile changes atoms
-    cuts = [cum_a[:-1]]
-    for m in (-2, -1, 0, 1, 2):
-        cuts.append(cum_b + m - alpha)
-    u = np.concatenate([[0.0, 1.0]] + cuts)
-    u = np.unique(u[(u >= 0.0) & (u <= 1.0)])
-    mid = 0.5 * (u[:-1] + u[1:])
-    lengths = np.diff(u)
-    ia = np.searchsorted(cum_a, mid, side="left")
-    v = mid + alpha
-    wind = np.ceil(v) - 1.0
-    v0 = v - wind
-    low = v0 <= 0.0  # guard fp fallout at cell edges
-    v0[low] += 1.0
-    wind[low] -= 1.0
-    ib = np.searchsorted(cum_b, np.minimum(v0, 1.0), side="left")
-    diff = a.support[ia] - (b.support[ib] + TWO_PI * wind)
-    return float(np.sum(lengths * np.abs(diff) ** p))
-
-
-def _nearest_kink(a: DiscreteCircularDist, b: DiscreteCircularDist, alpha: float) -> float:
-    """The offset kink cumB_j - cumA_i + m, m in {-1, 0, 1}, nearest to alpha."""
-    ca, cb = a.cumweights(), b.cumweights()
-    m = np.array([-1.0, 0.0, 1.0])
-    j = np.searchsorted(cb, (alpha + ca)[:, None] - m)
-    near = np.stack([cb[np.maximum(j - 1, 0)], cb[np.minimum(j, cb.size - 1)]])
-    kinks = near - ca[:, None] + m
-    return float(kinks.flat[np.argmin(np.abs(kinks - alpha))])
-
-
 def wp_general(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> float:
     """W_p for arbitrary weights. At p = 1 this is the exact CDF-offset
-    formula. For p > 1 the exact objective in the CDF offset is piecewise
-    linear and convex (Delon, Salomon & Sobolevski 2010): bounded Brent
-    search brackets its minimum, which sits at the nearest offset kink."""
+    formula. For p > 1 the exact objective in the CDF offset alpha is convex
+    and piecewise linear, with kinks at cumB_j - cumA_i + m (Delon, Salomon
+    & Sobolevski 2010). Bisection on the sign of its exact slope narrows the
+    offsets to a bracket, then to the two kinks in it where the sign turns."""
     _check_p(p)
     if p == 1.0:
         return _w1_kernel(_atoms(a), _atoms(b))
-    from scipy.optimize import minimize_scalar
+    ca, cb = a.cumweights(), b.cumweights()
+    turns = np.arange(-2.0, 3.0)[:, None]
+    # Qb^{-1}, extended by winding, is atoms[k] on (jumps[k - 1], jumps[k]]
+    jumps = (cb + turns).ravel()
+    atoms = np.append(b.support + TWO_PI * turns, b.support[0] + 3.0 * TWO_PI)
 
-    objective = lambda alpha: _offset_integral(a, b, alpha, p)
-    res = minimize_scalar(
-        objective, bounds=(-1.5, 1.5), method="bounded", options={"xatol": 1e-12}
-    )
-    return min(res.fun, objective(_nearest_kink(a, b, res.x))) ** (1.0 / p)
+    def integral(alpha):
+        # exact integral over u of |Qa^{-1}(u) - Qb^{-1}(u + alpha)|^p: both
+        # quantiles are constant between the cuts
+        u = np.concatenate([[0.0, 1.0], ca[:-1], jumps - alpha])
+        u = np.unique(u[(u >= 0.0) & (u <= 1.0)])
+        mid = 0.5 * (u[:-1] + u[1:])
+        diff = a.support[np.searchsorted(ca, mid)] - atoms[np.searchsorted(jumps, mid + alpha)]
+        return float(np.sum(np.diff(u) * np.abs(diff) ** p))
+
+    def slope(alpha):
+        # right derivative: raising alpha moves the cell just left of u = c - alpha,
+        # c a jump in (alpha, alpha + 1], from the atom below c to the one above
+        k0, k1 = np.searchsorted(jumps, [alpha, alpha + 1.0], side="right")
+        x = a.support[np.minimum(np.searchsorted(ca, jumps[k0:k1] - alpha), ca.size - 1)]
+        return np.sum(np.abs(x - atoms[k0 + 1 : k1 + 1]) ** p - np.abs(x - atoms[k0:k1]) ** p)
+
+    # the slope is < 0 at -1.5, where each atom of a lies above the atoms of b
+    # it meets, and > 0 at 1.5, where it lies below them
+    lo, hi = -1.5, 1.5
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    # the kinks in (lo, hi]: jumps in (lo + cumA_i, hi + cumA_i] for each i
+    first = np.searchsorted(jumps, lo + ca, side="right")
+    count = np.searchsorted(jumps, hi + ca, side="right") - first
+    i = np.repeat(np.arange(ca.size), count)
+    k = first[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    kinks = np.unique(np.append(jumps[k] - ca[i], [lo, hi]))
+    lo, hi = 0, kinks.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if slope(kinks[mid]) < 0.0 else (lo, mid)
+    return min(integral(kinks[lo]), integral(kinks[hi])) ** (1.0 / p)

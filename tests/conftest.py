@@ -6,12 +6,17 @@ code it checks.
 """
 
 import itertools
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 from scipy import integrate
 
+import circwass
 from circwass import DiscreteCircularDist, circ_dist, family_logpdf, family_pdf
 
 TWO_PI = 2.0 * np.pi
@@ -22,6 +27,20 @@ settings.load_profile("repeatable")
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def scipy_modules_after(code: str) -> list:
+    """Run `code` in a fresh interpreter that imports circwass from where the
+    tests do; return the names of the scipy modules it left loaded."""
+    src = str(Path(circwass.__file__).resolve().parents[1])
+    probe = (
+        f"import json, sys\nsys.path.insert(0, {src!r})\n{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def convex_min_1d(f, lo: float, hi: float, tol: float = 1e-10):

@@ -8,7 +8,7 @@ from circwass import EstimatorSpec, load_sample, mle_ssvm, mle_von_mises, mle_wr
 from circwass import cli
 from circwass.cli import run_cli
 
-from conftest import loglik, shift_scan_wp
+from conftest import loglik, scipy_modules_after, shift_scan_wp
 
 
 def run(capsys, *argv):
@@ -99,6 +99,22 @@ class TestDist:
         code, grid, _ = run(capsys, "dist", *paths, "--method", "grid", "--grid-size", str(D))
         assert code == 0
         assert abs(float(out) - float(grid)) <= 4 * np.pi / D
+
+    def test_loads_no_scipy(self, tmp_path):
+        # every method at p = 1 and p > 1, on equal and unequal sizes, runs on numpy alone
+        rng = np.random.default_rng(12)
+        a, b, c = (tmp_path / f"{tag}.txt" for tag in "abc")
+        for path, n in ((a, 40), (b, 40), (c, 23)):
+            path.write_text("".join(f"{float(v)!r}\n" for v in rng.vonmises(1.0, 2.0, n)))
+        probe = f"""
+from circwass.cli import run_cli
+for p in ("1", "1.5", "2"):
+    for other in ({str(b)!r}, {str(c)!r}):
+        for method in ("auto", "general", "equal"):
+            refused = method == "equal" and other == {str(c)!r} and p != "1"
+            assert run_cli(["dist", {str(a)!r}, other, "--p", p, "--method", method]) == 2 * refused
+"""
+        assert scipy_modules_after(probe) == []
 
     def test_equal_method_unequal_sizes(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

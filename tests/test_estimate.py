@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -20,7 +23,7 @@ from circwass import (
 )
 from circwass.circular import TWO_PI
 from circwass.estimate import circular_mean_resultant, fit_mle, mle
-from circwass.families import bessel_ratio
+from circwass.families import KAPPA_BOX, bessel_ratio
 from circwass.optimize import BoxConstraints, diff_evolution_min
 
 from conftest import bessel_series, loglik
@@ -48,6 +51,14 @@ class TestInvertBesselRatio:
             k = invert_bessel_ratio(float(r))
             assert abs(bessel_ratio(k) - r) <= 1e-10
 
+    def test_ratio_near_one_cheap(self):
+        # A(kappa) ~ 1 - 1/(2 kappa): the root is ~5e11, far beyond the box
+        t0 = time.perf_counter()
+        k = invert_bessel_ratio(1.0 - 1e-12)
+        assert time.perf_counter() - t0 < 0.05
+        assert k == pytest.approx(5e11, rel=1e-3)
+        assert abs(bessel_ratio(k) - (1.0 - 1e-12)) <= 1e-13
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             invert_bessel_ratio(1.0)
@@ -70,6 +81,19 @@ class TestMleVonMises:
         with pytest.warns(UserWarning):
             theta = mle_von_mises(make_sample([1.0, 1.0, 1.0])).theta_hat
         assert theta.kappa == 500.0
+
+    def test_rbar_near_one_cheap(self):
+        # a spread of ~4.5e-6 rad: R-bar = cos(delta) ~ 1 - 1e-11 is below the
+        # warning's threshold, so kappa is solved for and then clamped
+        delta = np.sqrt(2e-11)
+        s = make_sample(1.0 + delta * np.tile([-1.0, 1.0], 50))
+        assert 1.0 - circular_mean_resultant(s)[1] == pytest.approx(1e-11, rel=1e-3)
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = mle_von_mises(s).theta_hat
+        assert time.perf_counter() - t0 < 0.05
+        assert theta.kappa == KAPPA_BOX[1]
 
     def test_fisher_consistency(self):
         truth = FamilyParams("vm", mu=0.3, kappa=2.0)

@@ -1,13 +1,8 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, optimize, special
 
-import circwass
 from circwass import (
     FamilyParams,
     family_cdf,
@@ -18,9 +13,11 @@ from circwass import (
     family_sample,
 )
 from circwass.circular import TWO_PI
-from circwass.families import RHO_BOX, _vm_fourier_ratios, bessel_ratio, family_grid_cdf
+from circwass.families import (
+    RHO_BOX, _ive, _vm_cdf_grid, _vm_fourier_ratios, bessel_ratio, family_grid_cdf,
+)
 
-from conftest import bessel_series, cdf_quad, empirical_cdf
+from conftest import bessel_series, cdf_quad, empirical_cdf, scipy_modules_after
 
 
 def random_theta(rng, family):
@@ -89,6 +86,15 @@ class TestFamilyParams:
             FamilyParams("cardioid")
 
 
+def _scipy_ive(nu, kappa):
+    """scipy's e^{-kappa} I_nu(kappa). special.ive returns nan above kappa
+    ~ 1.1e9 (scipy 1.17); i0e and i1e, with I_2 = I_0 - 2 I_1/kappa, hold there."""
+    if kappa < 1e9:
+        return float(special.ive(nu, kappa))
+    i0, i1 = special.i0e(kappa), special.i1e(kappa)
+    return float((i0, i1, i0 - 2.0 * i1 / kappa)[nu])
+
+
 class TestBessel:
     """The Bessel ratios I_j/I_0 behind the von Mises CDF series and the MLE."""
 
@@ -113,6 +119,22 @@ class TestBessel:
         last = max(1, int(np.count_nonzero(ref >= 1e-16)))
         assert ratios.size == last
         assert np.allclose(ratios, ref[:last], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("nu", (0, 1, 2))
+    def test_scaled_bessel_grid(self, nu):
+        # both sides of the switch to the large-argument expansion at 30, and
+        # far out to where the vm MLE inverts mean resultant lengths near 1
+        kappas = np.concatenate([
+            [0.0, 1e-300, 1e-12], np.linspace(0.0, 60.0, 2401),
+            np.nextafter(30.0, [0.0, 60.0]), np.geomspace(1e-6, 1e12, 2401),
+        ])
+        got = np.array([_ive(nu, k) for k in kappas])
+        ref = np.array([_scipy_ive(nu, k) for k in kappas])
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-300)
+
+    @given(st.sampled_from((0, 1, 2)), st.floats(0.0, 1e12))
+    def test_scaled_bessel_property(self, nu, kappa):
+        assert _ive(nu, kappa) == pytest.approx(_scipy_ive(nu, kappa), rel=1e-13, abs=1e-300)
 
     def test_recurrence(self):
         # I_{j-1}(z) - I_{j+1}(z) = (2j/z) I_j(z), divided through by I_0(z)
@@ -224,6 +246,33 @@ class TestGridCdf:
     def test_matches_series(self, theta, D):
         grid = TWO_PI * np.arange(1, D + 1) / D
         assert np.allclose(family_grid_cdf(theta, D), family_cdf(theta, grid), rtol=0, atol=1e-12)
+
+
+def _vm_cdf_grid_folded(mu, kappa, D):
+    """The grid kernel with every harmonic folded into its bin by np.add.at,
+    whatever the series length: the reference for the unfolded fast path."""
+    ratios = _vm_fourier_ratios(kappa)
+    j = np.arange(1, ratios.size + 1)
+    coef = -0.5j * D * ratios / j * np.exp(-1j * j * mu)
+    b = j % D
+    spectrum = np.zeros(D // 2 + 1, dtype=complex)
+    np.add.at(spectrum, np.minimum(b, D - b), np.where(b > D - b, coef.conj(), coef))
+    spectrum[[0, -1] if D % 2 == 0 else 0] *= 2.0
+    s = np.fft.irfft(spectrum, D)
+    return np.arange(1, D + 1) / D + (np.roll(s, -1) - s[0]) / np.pi
+
+
+class TestGridCdfFolding:
+    @pytest.mark.parametrize("kappa", (1e-3, 2.0, 400.0))
+    def test_bit_identical_across_switch(self, kappa):
+        # harmonics stop folding once the series is shorter than D // 2
+        size = _vm_fourier_ratios(kappa).size
+        for D in range(2 * size - 2, 2 * size + 4):
+            if D >= 2:
+                ref = _vm_cdf_grid_folded(1.3, kappa, D)
+                assert np.array_equal(_vm_cdf_grid(1.3, kappa, D), ref)
+        for D in (2 * size + 100, 4096):
+            assert np.array_equal(_vm_cdf_grid(4.0, kappa, D), _vm_cdf_grid_folded(4.0, kappa, D))
 
 
 class TestQuantile:
@@ -399,17 +448,9 @@ class TestFisher:
             family_fisher(FamilyParams("ssvm", kappa=1.0, lam=1.0))
 
     def test_import_leaves_quadrature_unloaded(self):
-        # scipy.integrate pulls in scipy.linalg and its BLAS threads; only
-        # the ssvm Fisher matrix needs it
-        src = str(Path(circwass.__file__).resolve().parents[1])
-        probe = (
-            f"import sys; sys.path.insert(0, {src!r}); import circwass; "
-            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]"
+        # only the ssvm Fisher matrix needs scipy (its quadrature pulls in
+        # scipy.linalg and its BLAS threads); importing the package loads none
+        assert scipy_modules_after("import circwass") == []
 
     def test_unavailable_families(self):
         with pytest.raises(ValueError):

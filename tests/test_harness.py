@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from circwass import ExperimentConfig, FamilyParams, MseTable, mse_ratio, run_experiment
+from circwass import ExperimentConfig, FamilyParams, MseTable, harness, mse_ratio, run_experiment
 from circwass.harness import CSV_HEADER, MseRow, estimator_spec_from_name
 
 
@@ -119,6 +119,23 @@ class TestRunExperiment:
         solo = run_experiment(tiny_config(replications=3, estimators=("mle",)))
         joint_mle = [r for r in joint.rows if r.estimator == "MLE"]
         assert joint_mle == list(solo.rows)
+
+    def test_numerical_failure_counted(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no convergence")
+
+        monkeypatch.setattr(harness, "fit_mle", fail)
+        table = run_experiment(tiny_config(replications=3))
+        assert all(r.failures == 3 and r.replications == 0 for r in table.rows)
+
+    def test_bug_propagates(self, monkeypatch):
+        # only numerical failures are counted; anything else is a bug
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(harness, "fit_mle", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            run_experiment(tiny_config(replications=1))
 
     def test_log10_mse(self):
         table = run_experiment(tiny_config(replications=2))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from scipy import optimize
 from conftest import (
     cdf_quad,
     empirical_cdf,
+    offset_integral,
     perm_matching_cost,
     random_discrete_pair,
     random_weighted_pair,
@@ -362,9 +365,32 @@ class TestWpGeneral:
             for p in (1.0, 1.5, 2.0, 3.0):
                 assert wp_general(a, b, p) == pytest.approx(wp_kink_scan(a, b, p), abs=1e-9)
 
+    def test_lattice_weights_kink_scan(self):
+        # weights 1/n against 1/m put many offset kinks on one value, and
+        # rounding spreads each such value over a few floats
+        rng = np.random.default_rng(52)
+        for n, m in ((4, 6), (6, 9), (12, 8), (10, 15), (1, 7)):
+            a, b = (discrete_from_sample(make_sample(rng.uniform(0, TWO_PI, k))) for k in (n, m))
+            for p in (1.5, 2.0, 3.0):
+                assert wp_general(a, b, p) == pytest.approx(wp_kink_scan(a, b, p), abs=1e-9)
+
+    def test_large_unequal_p2(self):
+        # a logarithmic number of slopes, each linear in the atoms: 10^4 x 1.2*10^4
+        # atoms take tens of milliseconds
+        rng = np.random.default_rng(53)
+        a, b = (discrete_from_sample(make_sample(rng.vonmises(mu, 2.0, k)))
+                for mu, k in ((1.0, 10_000), (2.0, 12_000)))
+        t0 = time.perf_counter()
+        val = wp_general(a, b, 2.0)
+        assert time.perf_counter() - t0 < 1.0
+        # the offset objective is convex, so no offset in a fine scan does better
+        for alpha in np.linspace(-1.0, 1.0, 41):
+            assert val**2 <= offset_integral(a, b, alpha, 2.0) + 1e-12
+
     def test_self_distance_zero(self):
-        # the p > 1 minimum sits at the offset kink 0; the search alone
-        # stops within tol of it, which the p-th root magnifies
+        # the p > 1 minimum sits at the offset kink 0, where the integral is
+        # evaluated exactly; an offset only near it would read > 0, magnified
+        # by the p-th root
         a, _ = random_weighted_pair(np.random.default_rng(51), 9, 1)
         for p in (1.0, 1.5, 2.0, 3.0):
             assert wp_general(a, a, p) == 0.0
