@@ -63,6 +63,8 @@ class EstimatorSpec:
             raise ValueError("optimizer must be 'powell', 'de' or 'de+powell'")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and > 0")
+        if self.de_gens < 0:
+            raise ValueError("de_gens must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,37 +92,20 @@ def circular_mean_resultant(sample: CircularSample):
 
 
 def invert_bessel_ratio(r: float) -> float:
-    """Solve I_1(kappa)/I_0(kappa) = r for kappa >= 0 (r in [0, 1))."""
+    """Solve I_1(kappa)/I_0(kappa) = r for kappa >= 0 (r in [0, 1)).
+
+    The ratio increases from 0 to 1, so doubling from 1 brackets the root
+    and scipy's Brent method finds it to a few ulps."""
     if not 0.0 <= r < 1.0:
         raise ValueError("ratio must lie in [0, 1)")
     if r == 0.0:
         return 0.0
-    # Mardia-style starting values, then safeguarded Newton
-    if r < 0.53:
-        k = 2.0 * r + r**3 + 5.0 * r**5 / 6.0
-    elif r < 0.85:
-        k = -0.4 + 1.39 * r + 0.43 / (1.0 - r)
-    else:
-        k = 1.0 / (r**3 - 4.0 * r**2 + 3.0 * r)
-    k = max(k, 1e-8)
-    lo, hi = 0.0, max(2.0 * k, 1.0)
+    from scipy.optimize import brentq
+
+    hi, eps = 1.0, np.finfo(float).eps
     while bessel_ratio(hi) < r:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(200):
-        a = bessel_ratio(k)
-        if abs(a - r) <= 1e-13:
-            break
-        if a < r:
-            lo = k
-        else:
-            hi = k
-        da = 1.0 - a / k - a * a
-        step = (a - r) / da if da > 0.0 else 0.0
-        k_new = k - step
-        if not lo < k_new < hi:
-            k_new = 0.5 * (lo + hi)
-        k = k_new
-    return k
+        hi *= 2.0
+    return brentq(lambda k: bessel_ratio(k) - r, 0.0, hi, xtol=1e-300, rtol=4 * eps)
 
 
 def mle_von_mises(sample: CircularSample) -> FitResult:
@@ -146,14 +131,13 @@ def _wc_loglik(z: np.ndarray, eta: complex) -> float:
     return float(np.sum(np.log1p(-r2) - np.log(np.abs(z - eta) ** 2)))
 
 
-def mle_wrapped_cauchy(
-    sample: CircularSample, tol: float = 1e-10, max_iter: int = 500
-) -> FitResult:
+def mle_wrapped_cauchy(sample: CircularSample) -> FitResult:
     """Wrapped Cauchy MLE by the reweighting fixed point.
 
     Works on eta = rho*exp(i*mu); weights are the inverse squared distances
     to the current eta on the unit circle. Steps that would decrease the
-    log-likelihood are damped toward the previous iterate.
+    log-likelihood are damped toward the previous iterate. It stops when eta
+    moves by less than 1e-10, or unconverged after 500 iterations.
     """
     if sample.n < 3:
         raise ValueError("need at least 3 observations")
@@ -164,8 +148,7 @@ def mle_wrapped_cauchy(
         eta *= 0.999 / abs(eta)
     ll = _wc_loglik(z, eta)
     converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 501):
         w = 1.0 / np.abs(z - eta) ** 2
         eta_new = complex(np.sum(w * z) / (np.sum(w) + n / (1.0 - abs(eta) ** 2)))
         ll_new = _wc_loglik(z, eta_new)
@@ -176,7 +159,7 @@ def mle_wrapped_cauchy(
             ll_new = _wc_loglik(z, eta_new)
         delta = abs(eta_new - eta)
         eta, ll = eta_new, ll_new
-        if delta < tol:
+        if delta < 1e-10:
             converged = True
             break
     rho = min(abs(eta), 1.0 - 1e-9)
@@ -184,27 +167,22 @@ def mle_wrapped_cauchy(
     return _mle_result(FamilyParams("wc", mu=mu, rho=rho), sample, it, converged)
 
 
-def _box_for(family: str) -> BoxConstraints:
-    lower, upper, periodic = param_box(family)
-    return BoxConstraints(lower, upper, periodic)
-
-
 def _moment_start(sample: CircularSample, family: str) -> np.ndarray:
     mu, rbar = circular_mean_resultant(sample)
-    values = {"mu": mu}
+    values = {"mu": mu, "lam": 0.0, "eps": 0.1}
     if family in ("vm", "ssvm", "vm-contam"):
         values["kappa"] = float(
             np.clip(invert_bessel_ratio(min(rbar, 0.999)), *KAPPA_BOX)
         )
     if family == "wc":
         values["rho"] = float(np.clip(rbar, 1e-6, 1.0 - 1e-6))
-    values["lam"] = 0.0
-    values["eps"] = 0.1
     return np.array([values[p] for p in free_param_names(family)])
 
 
-def _minimize(objective, family: str, spec: EstimatorSpec, x0=None) -> FitResult:
-    box = _box_for(family)
+def _minimize(objective, family: str, spec: EstimatorSpec, x0: np.ndarray) -> FitResult:
+    if x0.size == 0:  # no free parameters: the fit is the family itself
+        return FitResult(vector_to_params(family, x0), float(objective(x0)), 1, True)
+    box = BoxConstraints(*param_box(family))
     reports = []
     if spec.optimizer in ("de", "de+powell"):
         de = diff_evolution_min(
@@ -213,7 +191,7 @@ def _minimize(objective, family: str, spec: EstimatorSpec, x0=None) -> FitResult
         reports.append(de)
         if spec.optimizer == "de+powell":
             reports.append(powell_min(objective, de.argmin, box, tol=spec.tol))
-    if spec.optimizer != "de" and x0 is not None:
+    if spec.optimizer != "de":
         reports.append(powell_min(objective, x0, box, tol=spec.tol))
     best = min(reports, key=lambda r: r.value)
     evals = sum(r.evaluations for r in reports)
@@ -242,14 +220,14 @@ def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitRe
 
 def _wasserstein_objective(sample: CircularSample, family: str, spec: EstimatorSpec):
     if spec.discretization == "grid":
-        D = spec.points or sample.n
+        D = sample.n if spec.points is None else spec.points
         q = grid_cdf_of(sample, D)
 
         def objective(vec):
             return w1_grid(q, grid_cdf_of(vector_to_params(family, vec), D))
 
     else:
-        m = spec.points or sample.n
+        m = sample.n if spec.points is None else spec.points
         if m != sample.n:
             raise ValueError("equal-mass discretization requires points = n")
         xa = sample.angles

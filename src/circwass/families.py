@@ -353,18 +353,16 @@ def family_sample(theta: FamilyParams, n: int, seed) -> CircularSample:
     return make_sample(x)
 
 
-def _vm_fisher_entries(kappa: float) -> tuple[float, float]:
-    i0 = _ive(0, kappa)
-    a1, a2 = _ive(1, kappa) / i0, _ive(2, kappa) / i0
-    return kappa * a1, 0.5 + 0.5 * a2 - a1**2
-
-
 def family_fisher(theta: FamilyParams) -> np.ndarray:
     """Fisher information matrix; ordering (mu, kappa), (mu, rho) or
     (mu, kappa, lambda)."""
     f = theta.family
+    if f in ("vm", "ssvm"):
+        k = theta.kappa
+        i0 = _ive(0, k)
+        a1, a2 = _ive(1, k) / i0, _ive(2, k) / i0
+        i_mm, i_kk = k * a1, 0.5 + 0.5 * a2 - a1**2
     if f == "vm":
-        i_mm, i_kk = _vm_fisher_entries(theta.kappa)
         return np.diag([i_mm, i_kk])
     if f == "wc":
         rho = theta.rho
@@ -373,13 +371,10 @@ def family_fisher(theta: FamilyParams) -> np.ndarray:
         d = (1.0 - rho**2) ** 2
         return np.diag([2.0 * rho**2 / d, 2.0 / d])
     if f == "ssvm":
-        k, lam = theta.kappa, theta.lam
+        lam = theta.lam
         if 1.0 - abs(lam) < 1e-12:
             raise ValueError("Fisher undefined/divergent at boundary lambda = +-1")
         from scipy.integrate import quad
-
-        i0 = _ive(0, k)
-        a1, a2 = _ive(1, k) / i0, _ive(2, k) / i0
 
         def expect(g):
             # (1/(2*pi*I0)) * integral of exp(k*cos x) * g(x) over [-pi, pi]
@@ -393,12 +388,11 @@ def family_fisher(theta: FamilyParams) -> np.ndarray:
             )
             return val / (TWO_PI * i0)
 
-        i_mm = k * a1 + lam * expect(
+        i_mm += lam * expect(
             lambda x: (lam + np.sin(x)) / (1.0 + lam * np.sin(x))
         )
         i_mk = 0.5 * lam * (a2 - 1.0)
         i_ml = expect(lambda x: np.cos(x) / (1.0 + lam * np.sin(x)))
-        i_kk = 0.5 + 0.5 * a2 - a1**2
         i_ll = expect(lambda x: np.sin(x) ** 2 / (1.0 + lam * np.sin(x)))
         return np.array(
             [
@@ -420,10 +414,8 @@ def params_to_vector(theta: FamilyParams) -> np.ndarray:
 
 def vector_to_params(family: str, vec) -> FamilyParams:
     names = free_param_names(family)
-    kwargs = dict(zip(names, (float(v) for v in vec)))
-    if "mu" in kwargs:
-        kwargs["mu"] = float(normalize_angle(kwargs["mu"]))
-    return FamilyParams(family=family, **kwargs)
+    # FamilyParams wraps mu into [0, 2*pi)
+    return FamilyParams(family=family, **dict(zip(names, (float(v) for v in vec))))
 
 
 def param_box(family: str):

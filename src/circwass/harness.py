@@ -44,16 +44,16 @@ _ESTIMATORS = {
 def _estimator(name: str):
     try:
         return _ESTIMATORS[name.lower()]
-    except KeyError:
+    except (KeyError, AttributeError):
         raise ValueError(f"unknown estimator {name!r}") from None
 
 
-def estimator_spec_from_name(name: str, optimizer: str = "powell") -> EstimatorSpec:
-    """The spec of a named estimator; the names are the keys of ``_ESTIMATORS``
-    (case-insensitive)."""
+def estimator_spec_from_name(name: str) -> EstimatorSpec:
+    """The sweep's spec of a named estimator; the names are the keys of
+    ``_ESTIMATORS`` (case-insensitive)."""
     # tol 1e-6 keeps desk-scale sweeps fast; Monte Carlo noise dominates it
     return EstimatorSpec(
-        **_estimator(name)[1], optimizer=optimizer, tol=1e-6, de_pop=18, de_gens=40
+        **_estimator(name)[1], optimizer="powell", tol=1e-6, de_pop=18, de_gens=40
     )
 
 
@@ -67,7 +67,6 @@ class ExperimentConfig:
     replications: int
     estimators: tuple = ("mle", "w1", "w2")
     master_seed: int = 0
-    optimizer: str = "powell"
 
     def __post_init__(self):
         if self.sweep_name not in SWEEPS:
@@ -90,26 +89,46 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
-        try:
-            family, t0, sweep = raw["family"], dict(raw["theta0"]), raw["sweep"]
-            sweep_name, sweep_values = sweep["name"], sweep["values"]
-            replications = raw["replications"]
-        except KeyError as exc:
-            raise ValueError(f"config lacks key {exc.args[0]!r}") from None
-        kwargs = {attr: t0.pop(name) for attr, name in PARAM_NAMES.items() if name in t0}
-        if t0:
-            raise ValueError(f"unknown theta0 keys: {sorted(t0)}")
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        t0, sweep = _get(raw, "theta0", dict), _get(raw, "sweep", dict)
+        for where, obj, known in (
+            ("config", raw, _CONFIG_KEYS), ("theta0", t0, PARAM_NAMES.values()),
+            ("sweep", sweep, ("name", "values")),
+        ):
+            if unknown := sorted(set(obj) - set(known)):
+                raise ValueError(f"unknown {where} keys: {unknown}")
+        family = _get(raw, "family", str)
+        values = _get(sweep, "values", list, "sweep")
+        if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in values):
+            raise ValueError(f"sweep key 'values' must hold numbers, not {values!r}")
         return cls(
             family=family,
-            theta0=FamilyParams(family, **kwargs),
-            sweep_name=sweep_name,
-            sweep_values=tuple(sweep_values),
-            n=int(raw.get("n", 0) or 0),
-            replications=int(replications),
-            estimators=tuple(raw.get("estimators", ("mle", "w1", "w2"))),
-            master_seed=int(raw.get("master_seed", 0)),
-            optimizer=raw.get("optimizer", "powell"),
+            theta0=FamilyParams(family, **{attr: _get(t0, name, _NUMBER, "theta0")
+                                           for attr, name in PARAM_NAMES.items() if name in t0}),
+            sweep_name=_get(sweep, "name", str, "sweep"),
+            sweep_values=tuple(values),
+            n=_get(raw, "n", int, default=0),
+            replications=_get(raw, "replications", int),
+            estimators=tuple(_get(raw, "estimators", list, default=["mle", "w1", "w2"])),
+            master_seed=_get(raw, "master_seed", int, default=0),
         )
+
+
+# the keys of a sweep config; family, theta0, sweep and replications are required
+_CONFIG_KEYS = ("family", "theta0", "sweep", "replications", "n", "estimators", "master_seed")
+_NUMBER = (int, float)
+
+
+def _get(obj: dict, key: str, kind, where: str = "config", default=None):
+    """obj[key] if it is a JSON value of the given kind; an absent key takes
+    the default and is an error without one."""
+    if key not in obj and default is None:
+        raise ValueError(f"{where} lacks key {key!r}")
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} key {key!r} has a bad value {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -196,7 +215,7 @@ def _run_cell(cfg: ExperimentConfig, si: int, ri: int):
     errors: dict = {}
     failures: dict = {}
     for ei, est_name in enumerate(cfg.estimators):
-        spec = estimator_spec_from_name(est_name, optimizer=cfg.optimizer)
+        spec = estimator_spec_from_name(est_name)
         if cfg.fit_family == "ssvm":
             # skewness has no moment start; a small global search is needed
             spec = replace(spec, optimizer="de+powell")

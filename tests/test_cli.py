@@ -240,6 +240,35 @@ class TestFit:
         assert payload["converged"] is res.converged
         assert payload["objective"] == res.objective
 
+    @pytest.mark.parametrize("method", ("grid", "equal-mass"))
+    @pytest.mark.parametrize("points", ("0", "1", "-5"))
+    def test_bad_points(self, capsys, sample_file, method, points):
+        code, out, err = run(
+            capsys, "fit", "--family", "vm", "--estimator", "w1", "--method", method,
+            "--data", sample_file, "--D", points,
+        )
+        assert (code, out) == (2, "")
+        assert "error" in err
+
+    def test_negative_de_gens(self, capsys, sample_file):
+        code, _, err = run(
+            capsys, "fit", "--family", "vm", "--estimator", "w1", "--data", sample_file,
+            "--de-gens", "-1",
+        )
+        assert code == 2
+        assert "de_gens" in err
+
+    @pytest.mark.parametrize("estimator", ("w1", "w2"))
+    def test_uniform_w_fit(self, capsys, sample_file, estimator):
+        code, out, err = run(
+            capsys, "fit", "--family", "uniform", "--estimator", estimator,
+            "--data", sample_file, "--json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["theta_hat"] == {}
+        assert payload["evaluations"] == 1 and payload["converged"] is True
+
     def test_text_output(self, capsys, sample_file):
         code, out, _ = run(
             capsys, "fit", "--family", "vm", "--estimator", "mle", "--data", sample_file
@@ -300,6 +329,39 @@ class TestExperiment:
                            str(tmp_path / "o.csv"))
         assert code == 2
         assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "change,named",
+        (
+            (lambda cfg: [cfg], "JSON object"),
+            (lambda cfg: {**cfg, "theta0": [1]}, "'theta0'"),
+            (lambda cfg: {**cfg, "theta0": {"mu": 0.3, "kappa": [2.0]}}, "'kappa'"),
+            (lambda cfg: {**cfg, "sweep": {"values": 3}}, "'values'"),
+            (lambda cfg: {**cfg, "sweep": {"name": "log10N", "values": [1.5, [2]]}}, "'values'"),
+            (lambda cfg: {**cfg, "sweep": {"name": "log10N", "values": [1.5], "step": 1}},
+             "'step'"),
+            (lambda cfg: {**cfg, "replications": [1]}, "'replications'"),
+            (lambda cfg: {**cfg, "estimators": "mle"}, "'estimators'"),
+            (lambda cfg: {**cfg, "estimators": ["mle", 3]}, "unknown estimator 3"),
+            (lambda cfg: {**cfg, "master_sed": 3}, "'master_sed'"),
+            (lambda cfg: {**cfg, "optimizer": "de+powell"}, "'optimizer'"),
+        ),
+        ids=("array", "theta0", "theta0-value", "sweep-values", "sweep-value", "sweep-key",
+             "replications", "estimators", "estimator", "misspelt", "optimizer"),
+    )
+    def test_malformed_config(self, capsys, tmp_path, change, named):
+        cfg = {
+            "family": "vm",
+            "theta0": {"mu": 0.3, "kappa": 2.0},
+            "sweep": {"name": "log10N", "values": [1.5]},
+            "replications": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(change(cfg)))
+        code, _, err = run(capsys, "experiment", "--config", str(cfg_path), "--out",
+                           str(tmp_path / "o.csv"))
+        assert code == 2
+        assert named in err
 
     def test_unwritable_out_before_sweep(self, capsys, tmp_path, monkeypatch):
         cfg = {

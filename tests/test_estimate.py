@@ -51,6 +51,11 @@ class TestInvertBesselRatio:
             k = invert_bessel_ratio(float(r))
             assert abs(bessel_ratio(k) - r) <= 1e-10
 
+    def test_residual_to_rounding(self):
+        # log grid of r up to A(500), the top of the kappa box
+        for r in np.geomspace(1e-9, bessel_ratio(KAPPA_BOX[1]), 800):
+            assert abs(bessel_ratio(invert_bessel_ratio(float(r))) - r) <= 1e-15
+
     def test_ratio_near_one_cheap(self):
         # A(kappa) ~ 1 - 1/(2 kappa): the root is ~5e11, far beyond the box
         t0 = time.perf_counter()
@@ -203,6 +208,10 @@ class TestEstimatorSpec:
             with pytest.raises(ValueError, match="p must be"):
                 EstimatorSpec(p=p, discretization="equal-mass")
 
+    def test_negative_de_gens(self):
+        with pytest.raises(ValueError, match="de_gens"):
+            EstimatorSpec(de_gens=-1)
+
 
 class TestWassersteinFit:
     def test_perfect_fit_fixed_point(self):
@@ -238,6 +247,17 @@ class TestWassersteinFit:
         )
         with pytest.raises(ValueError):
             wasserstein_fit(s, "vm", spec)
+
+    @pytest.mark.parametrize("disc,p", (("grid", 1.0), ("equal-mass", 2.0)))
+    @pytest.mark.parametrize("optimizer", ("powell", "de", "de+powell"))
+    def test_no_free_parameters(self, disc, p, optimizer):
+        # the uniform family has nothing to search: one objective evaluation
+        s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 40, 19)
+        spec = EstimatorSpec(p=p, discretization=disc, optimizer=optimizer)
+        res = wasserstein_fit(s, "uniform", spec)
+        assert res.theta_hat == FamilyParams("uniform")
+        assert (res.evaluations, res.converged) == (1, True)
+        assert res.objective > 0.0
 
     def test_kind_must_be_wasserstein(self):
         s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 20, 18)

@@ -144,6 +144,35 @@ class TestRunExperiment:
                 assert r.log10_mse == pytest.approx(np.log10(r.mse), abs=0.0)
 
 
+class TestSweepPolicy:
+    @pytest.mark.parametrize(
+        "theta0,optimizer",
+        (
+            (FamilyParams("vm", mu=0.3, kappa=2.0), "powell"),
+            (FamilyParams("wc", mu=0.3, rho=0.4), "powell"),
+            (FamilyParams("vm-contam", mu=0.3, kappa=2.0, eps=0.1), "powell"),
+            (FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5), "de+powell"),
+        ),
+    )
+    def test_spec_per_family(self, monkeypatch, theta0, optimizer):
+        specs = []
+
+        def record(sample, family, spec=None):
+            specs.append(spec)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(harness, "fit_mle", record)
+        monkeypatch.setattr(harness, "wasserstein_fit", record)
+        cfg = tiny_config(family=theta0.family, theta0=theta0, replications=1,
+                          estimators=("mle", "w1", "w2"))
+        run_experiment(cfg)
+        assert [s.kind for s in specs] == ["mle", "wasserstein", "wasserstein"]
+        for spec in specs:
+            assert (spec.optimizer, spec.tol, spec.de_pop, spec.de_gens) == (
+                optimizer, 1e-6, 18, 40
+            )
+
+
 class TestMseTable:
     def test_csv_roundtrip(self):
         table = run_experiment(tiny_config(replications=2, estimators=("mle", "w1")))
