@@ -9,15 +9,15 @@ matrix), ``experiment`` (Monte Carlo sweep to CSV). Exit codes: 0 success,
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from functools import cache
 
 from .circular import discrete_from_sample, load_sample, save_sample
-from .estimate import mle, wasserstein_fit
+from .estimate import EstimatorSpec, mle, wasserstein_fit
 from .families import (
     FAMILIES, PARAM_NAMES, FamilyParams, family_fisher, family_sample, free_param_names,
 )
-from .harness import ExperimentConfig, estimator_spec_from_name, run_experiment
+from .harness import _ESTIMATORS, ExperimentConfig, run_experiment
 from .transport import grid_cdf_of, w1_grid, wp_discrete, wp_general
 
 
@@ -38,6 +38,13 @@ def _theta_from_args(args) -> FamilyParams:
     return FamilyParams(args.family, **{k: v for k, v in kwargs.items() if v is not None})
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 @cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="circwass")
@@ -55,24 +62,23 @@ def build_parser() -> _Parser:
     p.add_argument("b")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument(
-        "--method", choices=("auto", "equal", "general", "grid"), default="auto",
-        help="at p = 1 all but grid are exact for any sizes and tied angles; "
-        "for p > 1 equal needs equal sizes and auto picks by size",
+        "--method", choices=("auto", "grid"), default="auto",
+        help="auto is exact for any p, sizes and tied angles, and picks the "
+        "equal- or general-weight kernel by size; grid needs p = 1",
     )
     p.add_argument("--grid-size", type=int, default=1024)
 
     p = sub.add_parser("fit", help="fit a family to a sample file")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--estimator", required=True, choices=("mle", "w1", "w2"))
-    p.add_argument("--method", choices=("grid", "equal-mass"), default=None)
+    p.add_argument("--estimator", required=True, choices=tuple(_ESTIMATORS))
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--opt", choices=("de", "powell", "de+powell"), default="de+powell")
-    p.add_argument("--de-pop", type=int, default=None)
-    p.add_argument("--de-gens", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--D", type=int, default=None, help="grid size (defaults to n)")
+    # EstimatorSpec holds the defaults; a flag given replaces its field
+    p.add_argument("--seed", type=int)
+    p.add_argument("--de-pop", type=int)
+    p.add_argument("--de-gens", type=int, help="0 runs Powell alone")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--D", dest="points", type=int, help="grid size (defaults to n)")
 
     p = sub.add_parser("fisher", help="print the Fisher information matrix")
     p.add_argument("--family", required=True, choices=("vm", "wc", "ssvm"))
@@ -82,7 +88,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wide", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     return parser
 
@@ -101,31 +107,26 @@ def _cmd_sample(args) -> int:
 def _cmd_dist(args) -> int:
     sa = load_sample(args.a)
     sb = load_sample(args.b)
-    method = args.method
-    if method == "auto":
-        method = "equal" if sa.n == sb.n else "general"
-    if method == "equal":
-        # the raw samples keep tied angles as separate equal-weight atoms
-        val = wp_discrete(sa, sb, args.p)
-    elif method == "general":
-        val = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), args.p)
-    else:
+    if args.method == "grid":
         if args.p != 1.0:
             raise ValueError("grid method requires p = 1")
         val = w1_grid(grid_cdf_of(sa, args.grid_size), grid_cdf_of(sb, args.grid_size))
+    elif sa.n == sb.n:
+        # the raw samples keep tied angles as separate equal-weight atoms
+        val = wp_discrete(sa, sb, args.p)
+    else:
+        val = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), args.p)
     print(repr(val))
     return 0
 
 
 def _cmd_fit(args) -> int:
     sample = load_sample(args.data)
-    spec = estimator_spec_from_name(args.estimator)
-    spec = replace(
-        spec, discretization=args.method or spec.discretization, points=args.D,
-        optimizer=args.opt, de_pop=args.de_pop, de_gens=args.de_gens,
-        tol=args.tol, seed=args.seed,
-    )
-    fit = mle if spec.kind == "mle" else wasserstein_fit
+    w_fields = _ESTIMATORS[args.estimator][1]
+    flags = vars(args)
+    given = {f.name: flags[f.name] for f in fields(EstimatorSpec) if flags.get(f.name) is not None}
+    spec = EstimatorSpec(**(w_fields or {}), **given)
+    fit = mle if w_fields is None else wasserstein_fit
     res = fit(sample, args.family, spec)
     payload = {
         "family": args.family,

@@ -34,33 +34,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Configuration of one estimator run.
+    """Settings of one fit; the function called picks the estimator.
 
     ``grid`` discretization is the order-1 CDF-grid objective (requires p=1);
     ``equal-mass`` places equal-weight atoms at model quantiles and works for
-    any finite p >= 1. ``tol`` must be finite and positive.
+    any finite p >= 1. ``de_gens > 0`` runs differential evolution, then
+    Powell from its best point and from the sample moments; ``de_gens == 0``
+    runs Powell from the moments alone. ``tol`` must be finite and positive.
     """
 
-    kind: str = "wasserstein"  # "mle" or "wasserstein"
     p: float = 1.0
     discretization: str = "grid"  # "grid" or "equal-mass"
     points: int | None = None  # grid size D or atom count; defaults to n
-    optimizer: str = "de+powell"  # "powell", "de" or "de+powell"
     de_pop: int | None = None
     de_gens: int = 60
     tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("mle", "wasserstein"):
-            raise ValueError("kind must be 'mle' or 'wasserstein'")
         _check_p(self.p)
         if self.discretization not in ("grid", "equal-mass"):
             raise ValueError("discretization must be 'grid' or 'equal-mass'")
         if self.discretization == "grid" and self.p != 1.0:
             raise ValueError("grid discretization is only valid for p = 1")
-        if self.optimizer not in ("powell", "de", "de+powell"):
-            raise ValueError("optimizer must be 'powell', 'de' or 'de+powell'")
+        if self.points is not None and self.points < 1:
+            raise ValueError("points must be >= 1")
+        if self.de_pop is not None and self.de_pop < 5:
+            raise ValueError("de_pop must be >= 5")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and > 0")
         if self.de_gens < 0:
@@ -184,15 +184,12 @@ def _minimize(objective, family: str, spec: EstimatorSpec, x0: np.ndarray) -> Fi
         return FitResult(vector_to_params(family, x0), float(objective(x0)), 1, True)
     box = BoxConstraints(*param_box(family))
     reports = []
-    if spec.optimizer in ("de", "de+powell"):
+    if spec.de_gens > 0:
         de = diff_evolution_min(
             objective, box, pop=spec.de_pop, gens=spec.de_gens, seed=spec.seed
         )
-        reports.append(de)
-        if spec.optimizer == "de+powell":
-            reports.append(powell_min(objective, de.argmin, box, tol=spec.tol))
-    if spec.optimizer != "de":
-        reports.append(powell_min(objective, x0, box, tol=spec.tol))
+        reports += [de, powell_min(objective, de.argmin, box, tol=spec.tol)]
+    reports.append(powell_min(objective, x0, box, tol=spec.tol))
     best = min(reports, key=lambda r: r.value)
     evals = sum(r.evaluations for r in reports)
     return FitResult(vector_to_params(family, best.argmin), best.value, evals, best.converged)
@@ -204,7 +201,7 @@ def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitRe
     if sample.n < 4:
         raise ValueError("need at least 4 observations")
     if spec is None:
-        spec = EstimatorSpec(kind="mle")
+        spec = EstimatorSpec()
     x = sample.angles
 
     def objective(vec):
@@ -248,8 +245,6 @@ def wasserstein_fit(
     empirical distribution and the model over the family's parameter box."""
     if spec is None:
         spec = EstimatorSpec()
-    if spec.kind != "wasserstein":
-        raise ValueError("spec.kind must be 'wasserstein'")
     objective = _wasserstein_objective(sample, family, spec)
     return _minimize(objective, family, spec, x0=_moment_start(sample, family))
 

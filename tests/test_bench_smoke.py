@@ -31,6 +31,8 @@ def test_traced_op(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] >= 1
+    # a wrapped name the package no longer has reads null
+    assert [name for name, m in result["metrics"].items() if m["value"] is None] == []
 
 
 def test_setup_only():

@@ -4,7 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from circwass import EstimatorSpec, load_sample, mle_ssvm, mle_von_mises, mle_wrapped_cauchy
+from circwass import (
+    EstimatorSpec, discrete_from_sample, harness, load_sample, mle_ssvm, mle_von_mises,
+    mle_wrapped_cauchy, wasserstein_fit, wp_general,
+)
 from circwass import cli
 from circwass.cli import run_cli
 
@@ -54,16 +57,16 @@ class TestDist:
         assert code == 0
         assert float(out.strip()) == 0.0
 
-    def test_methods_agree(self, capsys, sample_file):
-        vals = {}
+    def test_methods_agree(self, capsys, sample_file, tmp_path):
+        # auto's equal-size kernel agrees with the general-weight one
+        other = tmp_path / "b.txt"
+        run(capsys, "sample", "--family", "vm", "--kappa", "2.0", "--n", "30",
+            "--seed", "4", "--out", str(other))
+        weighted = [discrete_from_sample(load_sample(f)) for f in (sample_file, other)]
         for p in ("1", "2"):
-            for method in ("equal", "general"):
-                code, out, _ = run(
-                    capsys, "dist", sample_file, sample_file, "--method", method, "--p", p
-                )
-                assert code == 0
-                vals[method] = float(out.strip())
-            assert vals["equal"] == pytest.approx(vals["general"], abs=1e-9)
+            code, out, _ = run(capsys, "dist", sample_file, str(other), "--p", p)
+            assert code == 0
+            assert float(out) == pytest.approx(wp_general(*weighted, float(p)), abs=1e-9)
 
     def test_tied_whole_degrees(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
@@ -110,22 +113,27 @@ class TestDist:
 from circwass.cli import run_cli
 for p in ("1", "1.5", "2"):
     for other in ({str(b)!r}, {str(c)!r}):
-        for method in ("auto", "general", "equal"):
-            refused = method == "equal" and other == {str(c)!r} and p != "1"
+        for method in ("auto", "grid"):
+            refused = method == "grid" and p != "1"
             assert run_cli(["dist", {str(a)!r}, other, "--p", p, "--method", method]) == 2 * refused
 """
         assert scipy_modules_after(probe) == []
 
-    def test_equal_method_unequal_sizes(self, capsys, tmp_path):
+    def test_auto_unequal_sizes(self, capsys, tmp_path):
+        # one atom against two antipodal atoms a quarter turn away, at any p
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         a.write_text("0.0\n")
         b.write_text("1.5707963267948966\n4.71238898038469\n")
-        code, out, _ = run(capsys, "dist", str(a), str(b), "--method", "equal")
-        assert code == 0
-        assert float(out) == pytest.approx(np.pi / 2, abs=1e-12)
-        code, _, err = run(capsys, "dist", str(a), str(b), "--method", "equal", "--p", "2")
-        assert code == 2
-        assert "equal-weight" in err
+        for p in ("1", "2"):
+            code, out, _ = run(capsys, "dist", str(a), str(b), "--p", p)
+            assert code == 0
+            assert float(out) == pytest.approx(np.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ("equal", "general"))
+    def test_retired_methods(self, capsys, sample_file, method):
+        code, _, err = run(capsys, "dist", sample_file, sample_file, "--method", method)
+        assert code == 1
+        assert "invalid choice" in err
 
     @pytest.mark.parametrize("p", ("0.5", "-1", "nan", "inf"))
     def test_p_outside_range(self, capsys, tmp_path, p):
@@ -183,7 +191,7 @@ class TestFit:
     def test_w1_fit(self, capsys, sample_file):
         code, out, _ = run(
             capsys, "fit", "--family", "vm", "--estimator", "w1",
-            "--data", sample_file, "--opt", "powell", "--tol", "1e-6", "--json",
+            "--data", sample_file, "--de-gens", "0", "--tol", "1e-6", "--json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -232,19 +240,20 @@ class TestFit:
             "--n", "200", "--seed", "3", "--out", path)
         flags = ("--de-pop", "12", "--de-gens", "10", "--tol", "1e-8", "--seed", "4")
         payload = self.fit_json(capsys, path, "ssvm", *flags)
-        spec = EstimatorSpec(
-            kind="mle", optimizer="de+powell", de_pop=12, de_gens=10, tol=1e-8, seed=4
-        )
+        spec = EstimatorSpec(de_pop=12, de_gens=10, tol=1e-8, seed=4)
         res = mle_ssvm(load_sample(path), spec)
         assert payload["evaluations"] == res.evaluations > 0
         assert payload["converged"] is res.converged
         assert payload["objective"] == res.objective
 
-    @pytest.mark.parametrize("method", ("grid", "equal-mass"))
+    @pytest.mark.parametrize(
+        "estimator",
+        (pytest.param("w1", id="grid"), pytest.param("w1-equal-mass", id="equal-mass")),
+    )
     @pytest.mark.parametrize("points", ("0", "1", "-5"))
-    def test_bad_points(self, capsys, sample_file, method, points):
+    def test_bad_points(self, capsys, sample_file, estimator, points):
         code, out, err = run(
-            capsys, "fit", "--family", "vm", "--estimator", "w1", "--method", method,
+            capsys, "fit", "--family", "vm", "--estimator", estimator,
             "--data", sample_file, "--D", points,
         )
         assert (code, out) == (2, "")
@@ -257,6 +266,44 @@ class TestFit:
         )
         assert code == 2
         assert "de_gens" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        (("--family", "wc", "--estimator", "w2", "--de-gens", "0", "--de-pop", "3"),
+         ("--family", "vm", "--estimator", "mle", "--D", "0")),
+        ids=("de-pop", "points"),
+    )
+    def test_bad_setting_unused_by_search(self, capsys, sample_file, flags):
+        # a setting is checked when the spec is built, not when a search reads it
+        code, out, err = run(capsys, "fit", *flags, "--data", sample_file)
+        assert (code, out) == (2, "")
+        assert "must be >= " in err
+
+    def test_estimator_names(self):
+        fit = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["fit"]
+        choices = next(a.choices for a in fit._actions if a.dest == "estimator")
+        assert tuple(choices) == tuple(harness._ESTIMATORS)
+
+    def test_w1_equal_mass_by_name(self, capsys, sample_file):
+        code, out, err = run(
+            capsys, "fit", "--family", "vm", "--estimator", "w1-equal-mass",
+            "--data", sample_file, "--de-gens", "0", "--tol", "1e-6", "--json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        spec = EstimatorSpec(p=1.0, discretization="equal-mass", de_gens=0, tol=1e-6)
+        res = wasserstein_fit(load_sample(sample_file), "vm", spec)
+        assert payload["estimator"] == "w1-equal-mass"
+        assert payload["theta_hat"] == {"mu": res.theta_hat.mu, "kappa": res.theta_hat.kappa}
+        assert (payload["objective"], payload["evaluations"]) == (res.objective, res.evaluations)
+
+    @pytest.mark.parametrize("flags", (("--method", "equal-mass"), ("--opt", "powell")))
+    def test_retired_flags(self, capsys, sample_file, flags):
+        code, _, err = run(
+            capsys, "fit", "--family", "vm", "--estimator", "w1", "--data", sample_file, *flags
+        )
+        assert code == 1
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("estimator", ("w1", "w2"))
     def test_uniform_w_fit(self, capsys, sample_file, estimator):
@@ -381,6 +428,14 @@ class TestExperiment:
                            str(tmp_path / "missing" / "o.csv"))
         assert code == 2
         assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("workers", ("0", "-3"))
+    def test_workers_below_one(self, capsys, tmp_path, workers):
+        code, _, err = run(capsys, "experiment", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "o.csv"), "--workers", workers)
+        assert code == 1
+        assert "--workers" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_config(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -180,10 +180,7 @@ class TestMleSsvm:
         s = family_sample(FamilyParams("ssvm", mu=0.5, kappa=1.5, lam=0.5), 800, 15)
         delta = 1.7
         # a strong global search keeps both runs in the same likelihood mode
-        spec = EstimatorSpec(
-            kind="mle", optimizer="de+powell", de_pop=60, de_gens=200,
-            tol=1e-12, seed=0,
-        )
+        spec = EstimatorSpec(de_pop=60, de_gens=200, tol=1e-12, seed=0)
         r1 = mle_ssvm(s, spec)
         r2 = mle_ssvm(make_sample(s.angles + delta), spec)
         assert circ_dist(r2.theta_hat.mu, r1.theta_hat.mu + delta) <= 1e-3
@@ -197,11 +194,7 @@ class TestMleSsvm:
 class TestEstimatorSpec:
     def test_grid_requires_p1(self):
         with pytest.raises(ValueError):
-            EstimatorSpec(kind="wasserstein", p=2.0, discretization="grid")
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            EstimatorSpec(kind="map")
+            EstimatorSpec(p=2.0, discretization="grid")
 
     def test_bad_p(self):
         for p in (0.5, -1.0, np.nan, np.inf):
@@ -220,10 +213,7 @@ class TestWassersteinFit:
         truth = FamilyParams("vm", mu=0.3, kappa=2.0)
         atoms = normalize_angle(family_quantile(truth, np.arange(1, 65) / 64))
         s = make_sample(atoms)
-        spec = EstimatorSpec(
-            kind="wasserstein", p=2.0, discretization="equal-mass",
-            optimizer="powell", tol=1e-12,
-        )
+        spec = EstimatorSpec(p=2.0, discretization="equal-mass", de_gens=0, tol=1e-12)
         res = wasserstein_fit(s, "vm", spec)
         assert res.objective <= 1e-9
 
@@ -231,9 +221,7 @@ class TestWassersteinFit:
     def test_rotation_equivariance(self, disc, p):
         s = family_sample(FamilyParams("vm", mu=0.3, kappa=2.0), 200, 16)
         delta = 2.9
-        spec = EstimatorSpec(
-            kind="wasserstein", p=p, discretization=disc, optimizer="powell", tol=1e-8
-        )
+        spec = EstimatorSpec(p=p, discretization=disc, de_gens=0, tol=1e-8)
         r1 = wasserstein_fit(s, "vm", spec)
         r2 = wasserstein_fit(make_sample(s.angles + delta), "vm", spec)
         assert circ_dist(r2.theta_hat.mu, r1.theta_hat.mu + delta) <= 0.02
@@ -241,28 +229,22 @@ class TestWassersteinFit:
 
     def test_equal_mass_points_must_match_n(self):
         s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 50, 17)
-        spec = EstimatorSpec(
-            kind="wasserstein", p=2.0, discretization="equal-mass", points=32,
-            optimizer="powell",
-        )
+        spec = EstimatorSpec(p=2.0, discretization="equal-mass", points=32, de_gens=0)
         with pytest.raises(ValueError):
             wasserstein_fit(s, "vm", spec)
 
     @pytest.mark.parametrize("disc,p", (("grid", 1.0), ("equal-mass", 2.0)))
-    @pytest.mark.parametrize("optimizer", ("powell", "de", "de+powell"))
-    def test_no_free_parameters(self, disc, p, optimizer):
+    @pytest.mark.parametrize(
+        "de_gens", (pytest.param(0, id="powell"), pytest.param(60, id="de+powell"))
+    )
+    def test_no_free_parameters(self, disc, p, de_gens):
         # the uniform family has nothing to search: one objective evaluation
         s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 40, 19)
-        spec = EstimatorSpec(p=p, discretization=disc, optimizer=optimizer)
+        spec = EstimatorSpec(p=p, discretization=disc, de_gens=de_gens)
         res = wasserstein_fit(s, "uniform", spec)
         assert res.theta_hat == FamilyParams("uniform")
         assert (res.evaluations, res.converged) == (1, True)
         assert res.objective > 0.0
-
-    def test_kind_must_be_wasserstein(self):
-        s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 20, 18)
-        with pytest.raises(ValueError):
-            wasserstein_fit(s, "vm", EstimatorSpec(kind="mle"))
 
     def test_objective_consistency_between_methods(self):
         # grid and equal-mass W1 objectives approximate the same distance
@@ -271,8 +253,8 @@ class TestWassersteinFit:
         from circwass.estimate import _wasserstein_objective
         from circwass.families import params_to_vector
 
-        grid_spec = EstimatorSpec(kind="wasserstein", p=1.0, discretization="grid")
-        em_spec = EstimatorSpec(kind="wasserstein", p=1.0, discretization="equal-mass")
+        grid_spec = EstimatorSpec(p=1.0, discretization="grid")
+        em_spec = EstimatorSpec(p=1.0, discretization="equal-mass")
         g = _wasserstein_objective(s, "vm", grid_spec)(params_to_vector(theta))
         e = _wasserstein_objective(s, "vm", em_spec)(params_to_vector(theta))
         assert abs(g - e) <= 8 * np.pi / s.n
@@ -309,10 +291,7 @@ class TestWassersteinFit:
         ):
             s = family_sample(truth, 300, 21)
             mle_theta = fit_mle(s, family)
-            spec = EstimatorSpec(
-                kind="wasserstein", p=1.0, discretization="grid",
-                optimizer="powell", tol=1e-8,
-            )
+            spec = EstimatorSpec(p=1.0, discretization="grid", de_gens=0, tol=1e-8)
             w_theta = wasserstein_fit(s, family, spec).theta_hat
             assert loglik(mle_theta, s) >= loglik(w_theta, s) - 1e-9
 
@@ -334,7 +313,7 @@ class TestFitMleDispatch:
     def test_one_result_type(self, family, truth):
         # every MLE reports the mean negative log-likelihood as its objective
         s = family_sample(truth, 100, 24)
-        spec = EstimatorSpec(kind="mle", optimizer="powell", tol=1e-8)
+        spec = EstimatorSpec(de_gens=0, tol=1e-8)
         res = mle(s, family, spec)
         assert res.objective == pytest.approx(-loglik(res.theta_hat, s) / s.n, abs=1e-14)
         assert res.theta_hat == fit_mle(s, family, spec)

@@ -62,6 +62,13 @@ class TestConfig:
         assert cfg.sweep_values == (0.1, 0.5)
         assert cfg.estimators == ("mle", "w1")
 
+    def test_from_json_defaults(self):
+        # the optional keys take the dataclass defaults
+        text = json.dumps({"family": "vm", "theta0": {"mu": 0.0, "kappa": 1.0},
+                           "sweep": {"name": "log10N", "values": [2.0]}, "replications": 1})
+        cfg = ExperimentConfig.from_json(text)
+        assert (cfg.n, cfg.estimators, cfg.master_seed) == (0, ("mle", "w1", "w2"), 0)
+
     def test_from_json_unknown_key(self):
         text = json.dumps(
             {
@@ -75,7 +82,7 @@ class TestConfig:
             ExperimentConfig.from_json(text)
 
     def test_estimator_names(self):
-        assert estimator_spec_from_name("mle").kind == "mle"
+        assert estimator_spec_from_name("MLE") == estimator_spec_from_name("mle")
         assert estimator_spec_from_name("w1").discretization == "grid"
         assert estimator_spec_from_name("w2").p == 2.0
         assert estimator_spec_from_name("w1-equal-mass").discretization == "equal-mass"
@@ -145,32 +152,35 @@ class TestRunExperiment:
 
 
 class TestSweepPolicy:
+    # Powell alone, or differential evolution first where the family needs it
     @pytest.mark.parametrize(
-        "theta0,optimizer",
+        "theta0,de_pop,de_gens",
         (
-            (FamilyParams("vm", mu=0.3, kappa=2.0), "powell"),
-            (FamilyParams("wc", mu=0.3, rho=0.4), "powell"),
-            (FamilyParams("vm-contam", mu=0.3, kappa=2.0, eps=0.1), "powell"),
-            (FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5), "de+powell"),
+            pytest.param(FamilyParams("vm", mu=0.3, kappa=2.0), None, 0, id="theta00-powell"),
+            pytest.param(FamilyParams("wc", mu=0.3, rho=0.4), None, 0, id="theta01-powell"),
+            pytest.param(FamilyParams("vm-contam", mu=0.3, kappa=2.0, eps=0.1), None, 0,
+                         id="theta02-powell"),
+            pytest.param(FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5), 18, 40,
+                         id="theta03-de+powell"),
         ),
     )
-    def test_spec_per_family(self, monkeypatch, theta0, optimizer):
-        specs = []
+    def test_spec_per_family(self, monkeypatch, theta0, de_pop, de_gens):
+        calls = []
 
-        def record(sample, family, spec=None):
-            specs.append(spec)
-            raise ValueError("recorded")
+        def recorder(fit):
+            def record(sample, family, spec=None):
+                calls.append((fit, spec))
+                raise ValueError("recorded")
+            return record
 
-        monkeypatch.setattr(harness, "fit_mle", record)
-        monkeypatch.setattr(harness, "wasserstein_fit", record)
+        monkeypatch.setattr(harness, "fit_mle", recorder("fit_mle"))
+        monkeypatch.setattr(harness, "wasserstein_fit", recorder("wasserstein_fit"))
         cfg = tiny_config(family=theta0.family, theta0=theta0, replications=1,
                           estimators=("mle", "w1", "w2"))
         run_experiment(cfg)
-        assert [s.kind for s in specs] == ["mle", "wasserstein", "wasserstein"]
-        for spec in specs:
-            assert (spec.optimizer, spec.tol, spec.de_pop, spec.de_gens) == (
-                optimizer, 1e-6, 18, 40
-            )
+        assert [fit for fit, _ in calls] == ["fit_mle", "wasserstein_fit", "wasserstein_fit"]
+        for _, spec in calls:
+            assert (spec.tol, spec.de_pop, spec.de_gens) == (1e-6, de_pop, de_gens)
 
 
 class TestMseTable:
