@@ -10,8 +10,10 @@ seed from (master seed, sweep index, replication index).
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import product, repeat
 
 import numpy as np
 
@@ -76,8 +78,10 @@ class ExperimentConfig:
             raise ValueError("sweep values must be strictly increasing")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        for name in self.estimators:
-            _estimator(name)
+        labels = [_estimator(name)[0] for name in self.estimators]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"estimator {self.estimators[i]!r} listed twice")
         object.__setattr__(self, "sweep_values", vals)
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
@@ -200,67 +204,56 @@ def _resolve_cell(cfg: ExperimentConfig, sweep_value: float):
     return theta, n
 
 
-def _truth_vector(cfg: ExperimentConfig, theta_sample: FamilyParams) -> np.ndarray:
-    names = free_param_names(cfg.fit_family)
-    return np.array([getattr(theta_sample, p) for p in names])
-
-
-def _run_cell(cfg: ExperimentConfig, si: int, ri: int):
-    """One replication: sample once, run every estimator on it."""
+def _run_cell(cfg: ExperimentConfig, si: int, ri: int) -> list:
+    """One replication: sample once, run every estimator on it. One entry
+    per configured estimator: its squared errors in parameter order, or
+    None when the fit failed numerically."""
     theta_sample, n = _resolve_cell(cfg, cfg.sweep_values[si])
     seed = np.random.SeedSequence([cfg.master_seed, si, ri])
     sample = family_sample(theta_sample, n, seed)
-    truth = _truth_vector(cfg, theta_sample)
     names = free_param_names(cfg.fit_family)
-    errors: dict = {}
-    failures: dict = {}
+    truth = [getattr(theta_sample, name) for name in names]
+    out = []
     for ei, est_name in enumerate(cfg.estimators):
         spec = estimator_spec_from_name(est_name)
         if cfg.fit_family == "ssvm":
             # skewness has no moment start; a small global search is needed
             spec = replace(spec, de_pop=18, de_gens=40)
         spec = replace(spec, seed=int(np.random.SeedSequence([cfg.master_seed, si, ri, 7000 + ei]).generate_state(1)[0]))
-        label, w_fields = _estimator(est_name)
         try:
-            if w_fields is None:
+            if _estimator(est_name)[1] is None:
                 theta_hat = fit_mle(sample, cfg.fit_family, spec)
             else:
                 theta_hat = wasserstein_fit(sample, cfg.fit_family, spec).theta_hat
             est = params_to_vector(theta_hat)
-            errs = {}
-            for name, e, t in zip(names, est, truth):
-                errs[name] = circular_sq_error(e, t) if name == "mu" else float(e - t) ** 2
-            errors[label] = errs
-        except (ValueError, ArithmeticError) as exc:  # a numerical failure, recorded per row
-            failures[label] = repr(exc)
-    return si, ri, errors, failures
-
-
-def _run_cell_star(args):
-    return _run_cell(*args)
+            out.append([circular_sq_error(e, t) if name == "mu" else float(e - t) ** 2
+                        for name, e, t in zip(names, est, truth)])
+        except (ValueError, ArithmeticError):  # a numerical failure, counted per row
+            out.append(None)
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> MseTable:
     """Run the full sweep; bit-identical output for a fixed config and master
     seed regardless of worker count."""
-    tasks = [(cfg, si, ri) for si in range(len(cfg.sweep_values)) for ri in range(cfg.replications)]
+    reps = cfg.replications
+    sis, ris = zip(*product(range(len(cfg.sweep_values)), range(reps)))
+    # a pool starts all its processes at once, so it gets no more than it can use
+    workers = min(workers, len(sis), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_star, tasks, chunksize=4))
+            results = list(pool.map(_run_cell, repeat(cfg), sis, ris, chunksize=4))
     else:
-        results = [_run_cell(*t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
+        results = list(map(_run_cell, repeat(cfg), sis, ris))
 
     names = free_param_names(cfg.fit_family)
-    labels = [_estimator(e)[0] for e in cfg.estimators]
     rows = []
     for si, sweep_value in enumerate(cfg.sweep_values):
-        cell = [r for r in results if r[0] == si]
-        for label in labels:
-            errs = [r[2][label] for r in cell if label in r[2]]
-            n_fail = sum(1 for r in cell if label in r[3])
-            for name in names:
-                vals = [e[name] for e in errs]
+        cell = results[si * reps : (si + 1) * reps]
+        for ei, label in enumerate(_estimator(est)[0] for est in cfg.estimators):
+            errs = [r[ei] for r in cell if r[ei] is not None]
+            for pi, name in enumerate(names):
+                vals = [e[pi] for e in errs]
                 mse = float(np.mean(vals)) if vals else float("nan")
                 log10_mse = float(np.log10(mse)) if mse > 0 else float("-inf")
                 rows.append(
@@ -272,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> MseTable:
                         mse=mse,
                         log10_mse=log10_mse,
                         replications=len(vals),
-                        failures=n_fail,
+                        failures=reps - len(errs),
                     )
                 )
     return MseTable(tuple(rows))

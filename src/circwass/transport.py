@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .circular import TWO_PI, CircularSample, DiscreteCircularDist
+from .circular import TWO_PI, CircularSample
 # family_cdf stays importable here: bench/spans.py traces it under this module
 from .families import FamilyParams, family_cdf, family_grid_cdf  # noqa: F401
 from .optimize import select_kth
@@ -128,11 +128,11 @@ def _canonical_order(a, b):
     # fix the argument order so W_p(a, b) == W_p(b, a) to the last bit
     # (summation order would otherwise differ by an ulp); a and b are
     # (atoms, weights) pairs, compared lexicographically
-    for va, vb in zip(np.concatenate(a), np.concatenate(b)):
-        if va < vb:
-            return a, b
-        if va > vb:
-            return b, a
+    va, vb = np.concatenate(a), np.concatenate(b)
+    m = min(va.size, vb.size)
+    differ = np.flatnonzero(va[:m] != vb[:m])
+    if differ.size:
+        return (a, b) if va[differ[0]] < vb[differ[0]] else (b, a)
     return (a, b) if a[0].size <= b[0].size else (b, a)
 
 
@@ -176,20 +176,24 @@ def w1_grid(q: GridCdf, pm: GridCdf) -> float:
     return float(TWO_PI / q.D * np.sum(np.abs(d - m)))
 
 
-def wp_general(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> float:
-    """W_p for arbitrary weights. At p = 1 this is the exact CDF-offset
-    formula. For p > 1 the exact objective in the CDF offset alpha is convex
-    and piecewise linear, with kinks at cumB_j - cumA_i + m (Delon, Salomon
-    & Sobolevski 2010). Bisection on the sign of its exact slope narrows the
-    offsets to a bracket, then to the two kinks in it where the sign turns."""
+def wp_general(a, b, p: float) -> float:
+    """W_p for arbitrary weights; either side may be a DiscreteCircularDist
+    or a CircularSample, as in wp_discrete. At p = 1 this is the exact
+    CDF-offset formula. For p > 1 the exact objective in the CDF offset
+    alpha is convex and piecewise linear, with kinks at cumB_j - cumA_i + m
+    (Delon, Salomon & Sobolevski 2010). Bisection on the sign of its exact
+    slope narrows the offsets to a bracket, then to the two kinks in it
+    where the sign turns."""
     _check_p(p)
     if p == 1.0:
         return _w1_kernel(_atoms(a), _atoms(b))
-    ca, cb = a.cumweights(), b.cumweights()
+    (xa, wa), (xb, wb) = _canonical_order(_atoms(a), _atoms(b))
+    ca, cb = np.cumsum(wa), np.cumsum(wb)
+    ca[-1] = cb[-1] = 1.0
     turns = np.arange(-2.0, 3.0)[:, None]
     # Qb^{-1}, extended by winding, is atoms[k] on (jumps[k - 1], jumps[k]]
     jumps = (cb + turns).ravel()
-    atoms = np.append(b.support + TWO_PI * turns, b.support[0] + 3.0 * TWO_PI)
+    atoms = np.append(xb + TWO_PI * turns, xb[0] + 3.0 * TWO_PI)
 
     def integral(alpha):
         # exact integral over u of |Qa^{-1}(u) - Qb^{-1}(u + alpha)|^p: both
@@ -197,14 +201,14 @@ def wp_general(a: DiscreteCircularDist, b: DiscreteCircularDist, p: float) -> fl
         u = np.concatenate([[0.0, 1.0], ca[:-1], jumps - alpha])
         u = np.unique(u[(u >= 0.0) & (u <= 1.0)])
         mid = 0.5 * (u[:-1] + u[1:])
-        diff = a.support[np.searchsorted(ca, mid)] - atoms[np.searchsorted(jumps, mid + alpha)]
+        diff = xa[np.searchsorted(ca, mid)] - atoms[np.searchsorted(jumps, mid + alpha)]
         return float(np.sum(np.diff(u) * np.abs(diff) ** p))
 
     def slope(alpha):
         # right derivative: raising alpha moves the cell just left of u = c - alpha,
         # c a jump in (alpha, alpha + 1], from the atom below c to the one above
         k0, k1 = np.searchsorted(jumps, [alpha, alpha + 1.0], side="right")
-        x = a.support[np.minimum(np.searchsorted(ca, jumps[k0:k1] - alpha), ca.size - 1)]
+        x = xa[np.minimum(np.searchsorted(ca, jumps[k0:k1] - alpha), ca.size - 1)]
         return np.sum(np.abs(x - atoms[k0 + 1 : k1 + 1]) ** p - np.abs(x - atoms[k0:k1]) ** p)
 
     # the slope is < 0 at -1.5, where each atom of a lies above the atoms of b

@@ -390,11 +390,13 @@ class TestExperiment:
             (lambda cfg: {**cfg, "replications": [1]}, "'replications'"),
             (lambda cfg: {**cfg, "estimators": "mle"}, "'estimators'"),
             (lambda cfg: {**cfg, "estimators": ["mle", 3]}, "unknown estimator 3"),
+            (lambda cfg: {**cfg, "estimators": ["mle", "MLE", "w1"]}, "'MLE' listed twice"),
             (lambda cfg: {**cfg, "master_sed": 3}, "'master_sed'"),
             (lambda cfg: {**cfg, "optimizer": "de+powell"}, "'optimizer'"),
         ),
         ids=("array", "theta0", "theta0-value", "sweep-values", "sweep-value", "sweep-key",
-             "replications", "estimators", "estimator", "misspelt", "optimizer"),
+             "replications", "estimators", "estimator", "duplicate-estimator", "misspelt",
+             "optimizer"),
     )
     def test_malformed_config(self, capsys, tmp_path, change, named):
         cfg = {

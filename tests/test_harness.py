@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown estimator 'w3'"):
             tiny_config(estimators=("mle", "w3"))
 
+    def test_duplicate_estimator(self):
+        # a name listed twice, in any case, would fit and report it twice
+        with pytest.raises(ValueError, match="'MLE' listed twice"):
+            tiny_config(estimators=("mle", "MLE", "w1"))
+
     def test_fit_family(self):
         cfg = tiny_config(
             family="vm-contam",
@@ -119,6 +124,35 @@ class TestRunExperiment:
         t1 = run_experiment(cfg, workers=1)
         t2 = run_experiment(cfg, workers=2)
         assert t1.to_csv() == t2.to_csv()
+
+    def test_pool_size_capped(self, monkeypatch):
+        # a pool starts every process it is given, so it gets no more than
+        # the tasks and CPUs it can use, and none when one would do
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        one_task = tiny_config(replications=1)
+        assert run_experiment(one_task, workers=10**6) == run_experiment(one_task)
+        assert sizes == []
+        cfg = tiny_config(sweep_values=(1.5, 1.7), replications=2)
+        for cpus, expected in ((None, []), (1, []), (3, [3]), (8, [4])):
+            sizes.clear()
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            assert run_experiment(cfg, workers=10**6) == run_experiment(cfg)
+            assert sizes == expected
 
     def test_same_sample_per_replication(self):
         # MLE rows must be identical whether or not other estimators run

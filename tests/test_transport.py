@@ -23,7 +23,7 @@ from circwass import (
     wp_general,
 )
 from circwass.circular import TWO_PI
-from circwass.transport import _shift_costs
+from circwass.transport import _canonical_order, _shift_costs
 from scipy import optimize
 
 from conftest import (
@@ -477,3 +477,45 @@ class TestW1Kernel:
                 assert wp_discrete(sa, sb, p) == pytest.approx(
                     shift_scan_wp(sa.angles, sb.angles, p), abs=1e-12
                 )
+
+
+def canonical_order_loop(a, b):
+    """Reference: walk the concatenated (atoms, weights) pairs to the first
+    entry that differs."""
+    for va, vb in zip(np.concatenate(a), np.concatenate(b)):
+        if va < vb:
+            return a, b
+        if va > vb:
+            return b, a
+    return (a, b) if a[0].size <= b[0].size else (b, a)
+
+
+# (atoms, weights) pairs on a 4-point lattice agree entry by entry often
+_lattice_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                        st.lists(st.integers(1, 2), min_size=n, max_size=n))
+).map(lambda xw: (np.sort(np.array(xw[0], dtype=float)), np.array(xw[1], dtype=float)))
+
+
+class TestWpGeneralInputs:
+    """wp_general at p > 1 reads samples and orders its arguments like the
+    p = 1 kernel."""
+
+    @settings(max_examples=300)
+    @given(_lattice_pairs, _lattice_pairs)
+    def test_canonical_order_matches_loop(self, a, b):
+        assert _canonical_order(a, b)[0] is canonical_order_loop(a, b)[0]
+
+    @settings(max_examples=100)
+    @given(_weighted_dists(), _weighted_dists(), st.sampled_from((1.5, 2.0, 3.0)))
+    def test_symmetry_bit_exact(self, a, b, p):
+        assert wp_general(a, b, p) == wp_general(b, a, p)
+
+    @settings(max_examples=60)
+    @given(_tied_samples, _tied_samples, st.sampled_from((1.5, 2.0)))
+    def test_tied_samples(self, sa, sb, p):
+        # a raw sample keeps tied angles as separate 1/n atoms; the distance
+        # is that of the merged supports
+        ref = wp_kink_scan(discrete_from_sample(sa), discrete_from_sample(sb), p)
+        assert wp_general(sa, sb, p) == pytest.approx(ref, abs=1e-9)
+        assert wp_general(sa, sb, p) == wp_general(sb, sa, p)
