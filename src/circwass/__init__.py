@@ -41,7 +41,6 @@ from .transport import (
     GridCdf,
     grid_cdf_of,
     w1_grid,
-    wp_discrete,
     wp_general,
 )
 

@@ -91,7 +91,8 @@ def save_sample(sample: CircularSample, path) -> None:
 
 @dataclass(frozen=True)
 class DiscreteCircularDist:
-    """Discrete distribution on the circle: strictly sorted atoms + weights."""
+    """Discrete distribution on the circle: atoms sorted ascending, with
+    positive weights summing to 1. Tied atoms stay separate, in input order."""
 
     support: np.ndarray
     weights: np.ndarray
@@ -105,32 +106,22 @@ class DiscreteCircularDist:
             raise ValueError("support must lie in [0, 2*pi)")
         if np.any(w <= 0.0):
             raise ValueError("weights must be positive")
-        # merge duplicate atoms so the support is strictly increasing
+        if abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1")
         order = np.argsort(s, kind="stable")
         s, w = s[order], w[order]
-        keep = np.concatenate([[True], np.diff(s) > 0.0])
-        idx = np.cumsum(keep) - 1
-        ms = s[keep]
-        mw = np.zeros(ms.size)
-        np.add.at(mw, idx, w)
-        if abs(mw.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        ms.flags.writeable = False
-        mw.flags.writeable = False
-        object.__setattr__(self, "support", ms)
-        object.__setattr__(self, "weights", mw)
+        s.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "support", s)
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
         return int(self.support.size)
 
-    def cumweights(self) -> np.ndarray:
-        c = np.cumsum(self.weights)
-        c[-1] = 1.0
-        return c
-
 
 def discrete_from_sample(sample: CircularSample) -> DiscreteCircularDist:
-    """Empirical distribution: atoms at sample points, weight 1/n (duplicates merged)."""
+    """Empirical distribution: an atom of weight 1/n at each sample point
+    (tied points stay separate atoms)."""
     n = sample.n
     return DiscreteCircularDist(sample.angles, np.full(n, 1.0 / n))

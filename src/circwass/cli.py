@@ -18,7 +18,7 @@ from .families import (
     FAMILIES, PARAM_NAMES, FamilyParams, family_fisher, family_sample, free_param_names,
 )
 from .harness import _ESTIMATORS, ExperimentConfig, run_experiment
-from .transport import grid_cdf_of, w1_grid, wp_discrete, wp_general
+from .transport import grid_cdf_of, w1_grid, wp_general
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +63,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument(
         "--method", choices=("auto", "grid"), default="auto",
-        help="auto is exact for any p, sizes and tied angles, and picks the "
-        "equal- or general-weight kernel by size; grid needs p = 1",
+        help="auto is exact for any p, sizes and tied angles; grid needs p = 1",
     )
     p.add_argument("--grid-size", type=int, default=1024)
 
@@ -111,9 +110,6 @@ def _cmd_dist(args) -> int:
         if args.p != 1.0:
             raise ValueError("grid method requires p = 1")
         val = w1_grid(grid_cdf_of(sa, args.grid_size), grid_cdf_of(sb, args.grid_size))
-    elif sa.n == sb.n:
-        # the raw samples keep tied angles as separate equal-weight atoms
-        val = wp_discrete(sa, sb, args.p)
     else:
         val = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), args.p)
     print(repr(val))

@@ -210,6 +210,12 @@ def _cdf0(theta: FamilyParams, x, D: int = 0):
     raise AssertionError(f)
 
 
+def _wc_terms(rho: float, t):
+    """Numerator 1 - rho^2 and denominator 1 + rho^2 - 2*rho*cos(t) of the
+    wrapped Cauchy density, written so neither cancels as rho -> 1."""
+    return (1.0 - rho) * (1.0 + rho), (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * t) ** 2
+
+
 def family_pdf(theta: FamilyParams, x):
     """Density of the family at x (scalar or array)."""
     x = np.asarray(x, dtype=float)
@@ -219,8 +225,7 @@ def family_pdf(theta: FamilyParams, x):
     elif f == "vm":
         out = _vm_pdf(x, theta.mu, theta.kappa)
     elif f == "wc":
-        num = 1.0 - theta.rho**2
-        den = 1.0 + theta.rho**2 - 2.0 * theta.rho * np.cos(x - theta.mu)
+        num, den = _wc_terms(theta.rho, x - theta.mu)
         out = num / (TWO_PI * den)
     elif f == "ssvm":
         out = _vm_pdf(x, theta.mu, theta.kappa) * (
@@ -241,8 +246,8 @@ def family_logpdf(theta: FamilyParams, x):
     if f == "uniform":
         out = np.full_like(x, -np.log(TWO_PI))
     elif f == "wc":
-        den = 1.0 + theta.rho**2 - 2.0 * theta.rho * np.cos(x - theta.mu)
-        out = np.log(1.0 - theta.rho**2) - np.log(TWO_PI) - np.log(den)
+        num, den = _wc_terms(theta.rho, x - theta.mu)
+        out = np.log(num) - np.log(TWO_PI) - np.log(den)
     elif f in ("vm", "ssvm"):
         k = theta.kappa
         out = k * np.cos(x - theta.mu) - np.log(TWO_PI) - (math.log(_ive(0, k)) + k)

@@ -1,13 +1,14 @@
 """Circular Wasserstein distances.
 
-At p = 1 every discrete distance is the exact CDF-offset formula over the
-merged breakpoints of both CDFs, for any sizes, weights and ties. For p > 1,
-equal-weight distances search the cyclic shifts of a sorted matching (each
-one slice of the atoms laid over three turns); general weights bisect the
-kinks of the exact CDF-offset objective on the sign of its slope. p must
-be finite and at least 1: for the concave costs of p < 1 a sorted matching
-need not be optimal. The order-1 grid formula uses a linear-time median
-and ``family_grid_cdf`` (real FFT). Nothing here imports scipy.
+``wp_general`` is the one exact W_p between discrete inputs and picks its
+kernel from them. At p = 1 it is the exact CDF-offset formula over the
+merged breakpoints of both CDFs, for any sizes, weights and ties. For
+p > 1, equal sizes with equal weights search the cyclic shifts of a sorted
+matching (each one slice of the atoms laid over three turns); other weights
+bisect the kinks of the exact CDF-offset objective on the sign of its slope.
+p must be finite and at least 1: for the concave costs of p < 1 a sorted
+matching need not be optimal. The order-1 grid formula uses a linear-time
+median and ``family_grid_cdf`` (real FFT). Nothing here imports scipy.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from .optimize import select_kth
 __all__ = [
     "GridCdf",
     "grid_cdf_of",
-    "wp_discrete",
     "w1_grid",
     "wp_general",
 ]
@@ -81,13 +81,6 @@ def _atoms(d) -> tuple[np.ndarray, np.ndarray]:
 def _check_p(p: float) -> None:
     if not 1.0 <= p < np.inf:
         raise ValueError("p must be finite and >= 1")
-
-
-def _check_equal_weight_pair(a, b):
-    (xa, wa), (xb, wb) = _atoms(a), _atoms(b)
-    w = np.concatenate([wa, wb])
-    if xa.size != xb.size or not np.allclose(w, 1.0 / xa.size, rtol=0, atol=1e-12):
-        raise ValueError("equal-weight inputs required")
 
 
 def _shift_costs(xa: np.ndarray, xb: np.ndarray, p: float):
@@ -151,21 +144,6 @@ def _w1_kernel(a, b) -> float:
     return float(np.sum(lengths * np.abs(g - alpha)))
 
 
-def wp_discrete(a, b, p: float) -> float:
-    """W_p between equal-weight discrete circular distributions.
-
-    Either side may be a DiscreteCircularDist or a CircularSample; a sample
-    keeps tied angles as separate atoms of weight 1/n. At p = 1 this is the
-    exact CDF-offset formula, which also holds for any sizes and weights.
-    """
-    _check_p(p)
-    if p == 1.0:
-        return _w1_kernel(_atoms(a), _atoms(b))
-    _check_equal_weight_pair(a, b)
-    (xa, _), (xb, _) = _canonical_order(_atoms(a), _atoms(b))
-    return _wp_equal_weight_arrays(xa, xb, p)
-
-
 def w1_grid(q: GridCdf, pm: GridCdf) -> float:
     """W_1 between grid discretizations: (2*pi/D) * sum |d_i - m| with m the
     (lower) median of the CDF differences, found in linear time."""
@@ -177,17 +155,21 @@ def w1_grid(q: GridCdf, pm: GridCdf) -> float:
 
 
 def wp_general(a, b, p: float) -> float:
-    """W_p for arbitrary weights; either side may be a DiscreteCircularDist
-    or a CircularSample, as in wp_discrete. At p = 1 this is the exact
-    CDF-offset formula. For p > 1 the exact objective in the CDF offset
-    alpha is convex and piecewise linear, with kinks at cumB_j - cumA_i + m
-    (Delon, Salomon & Sobolevski 2010). Bisection on the sign of its exact
-    slope narrows the offsets to a bracket, then to the two kinks in it
-    where the sign turns."""
+    """Exact W_p between discrete circular distributions of any sizes and
+    weights; either side may be a DiscreteCircularDist or a CircularSample,
+    and tied atoms stay separate. At p = 1 this is the exact CDF-offset
+    formula. For p > 1, equal sizes with equal weights take the cyclic-shift
+    search (Rabin, Delon & Gousseau 2011). Otherwise the exact objective in
+    the CDF offset alpha is convex and piecewise linear, with kinks at
+    cumB_j - cumA_i + m (Delon, Salomon & Sobolevski 2010). Bisection on the
+    sign of its exact slope narrows the offsets to a bracket, then to the
+    two kinks in it where the sign turns."""
     _check_p(p)
     if p == 1.0:
         return _w1_kernel(_atoms(a), _atoms(b))
     (xa, wa), (xb, wb) = _canonical_order(_atoms(a), _atoms(b))
+    if xa.size == xb.size and np.all(wa == wa[0]) and np.all(wb == wa[0]):
+        return _wp_equal_weight_arrays(xa, xb, p)
     ca, cb = np.cumsum(wa), np.cumsum(wb)
     ca[-1] = cb[-1] = 1.0
     turns = np.arange(-2.0, 3.0)[:, None]

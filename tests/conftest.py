@@ -185,10 +185,17 @@ def wp_bruteforce(a, b, p: float) -> float:
     return shift_scan_wp(a.support, b.support, p)
 
 
+def cumweights(d) -> np.ndarray:
+    """Cumulative weights of a DiscreteCircularDist, the last set to exactly 1."""
+    c = np.cumsum(d.weights)
+    c[-1] = 1.0
+    return c
+
+
 def offset_integral(a, b, alpha: float, p: float) -> float:
     """Exact integral over u of |Qa^{-1}(u) - Qb^{-1}(u + alpha)|^p."""
-    cum_a = a.cumweights()
-    cum_b = b.cumweights()
+    cum_a = cumweights(a)
+    cum_b = cumweights(b)
     # breakpoints where either quantile changes atoms
     cuts = [cum_a[:-1]]
     for m in (-2, -1, 0, 1, 2):
@@ -221,7 +228,7 @@ def wp_kink_scan(a, b, p: float, tol: float = 1e-12) -> float:
     objective = lambda alpha: offset_integral(a, b, alpha, p)
     _, best = convex_min_1d(objective, -1.5, 1.5, tol=tol)
     kinks = (
-        np.subtract.outer(b.cumweights(), a.cumweights())[:, :, None]
+        np.subtract.outer(cumweights(b), cumweights(a))[:, :, None]
         + np.array([-1.0, 0.0, 1.0])
     ).ravel()
     kinks = np.unique(kinks[(kinks >= -1.5) & (kinks <= 1.5)])

@@ -30,7 +30,6 @@ from circwass import (
     select_kth,
     w1_grid,
     wasserstein_fit,
-    wp_discrete,
     wp_general,
 )
 from circwass.circular import TWO_PI
@@ -58,7 +57,7 @@ def test_criterion_01_transport_oracle_equivalence(capsys):
         n = int(rng.integers(2, 65))
         a, b = random_discrete_pair(rng, n)
         p = float(rng.choice([1.0, 1.5, 2.0]))
-        worst = max(worst, abs(wp_discrete(a, b, p) - wp_bruteforce(a, b, p)))
+        worst = max(worst, abs(wp_general(a, b, p) - wp_bruteforce(a, b, p)))
     worst_perm = 0.0
     for _ in range(12):
         n = int(rng.integers(2, 9))
@@ -105,11 +104,11 @@ def test_criterion_03_metric_properties(capsys):
         ar = discrete_from_sample(make_sample(a.support + delta))
         br = discrete_from_sample(make_sample(b.support + delta))
         for p in (1.0, 2.0):
-            dab = wp_discrete(a, b, p)
-            ok &= dab == wp_discrete(b, a, p)  # symmetry, exact
-            ok &= wp_discrete(a, a, p) == 0.0
-            ok &= wp_discrete(a, c, p) <= dab + wp_discrete(b, c, p) + 1e-9
-            ok &= abs(wp_discrete(ar, br, p) - dab) <= 1e-12
+            dab = wp_general(a, b, p)
+            ok &= dab == wp_general(b, a, p)  # symmetry, exact
+            ok &= wp_general(a, a, p) == 0.0
+            ok &= wp_general(a, c, p) <= dab + wp_general(b, c, p) + 1e-9
+            ok &= abs(wp_general(ar, br, p) - dab) <= 1e-12
         if not ok:
             break
     report(capsys, 3, "metric properties", ok)

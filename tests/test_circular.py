@@ -122,10 +122,14 @@ class TestDiscreteFromSample:
         assert np.allclose(d.support, [0.0, np.pi])
         assert np.allclose(d.weights, [0.5, 0.5])
 
-    def test_merge(self):
+    def test_ties_kept(self):
+        # tied atoms stay separate, sorted stably with their weights as given
+        d = DiscreteCircularDist(np.array([2.0, 1.0, 2.0, 1.0]), np.array([0.1, 0.2, 0.3, 0.4]))
+        assert d.support.tolist() == [1.0, 1.0, 2.0, 2.0]
+        assert d.weights.tolist() == [0.2, 0.4, 0.1, 0.3]
         d = discrete_from_sample(make_sample([np.pi, np.pi]))
-        assert d.size == 1
-        assert d.weights[0] == pytest.approx(1.0)
+        assert d.support.tolist() == [np.pi, np.pi]
+        assert d.weights.tolist() == [0.5, 0.5]
 
     def test_five_distinct(self):
         d = discrete_from_sample(make_sample([0.1, 0.7, 2.0, 3.3, 5.5]))
@@ -136,12 +140,6 @@ class TestDiscreteFromSample:
             DiscreteCircularDist(np.array([0.1, 0.2]), np.array([0.5, 0.6]))
         with pytest.raises(ValueError, match="positive"):
             DiscreteCircularDist(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
-
-    def test_cumweights_end_exactly_one(self):
-        rng = np.random.default_rng(8)
-        w = rng.uniform(0.1, 1.0, 7)
-        d = DiscreteCircularDist(np.sort(rng.uniform(0, TWO_PI, 7)), w / w.sum())
-        assert d.cumweights()[-1] == 1.0
 
 
 class TestSampleIo:

@@ -6,12 +6,12 @@ import pytest
 
 from circwass import (
     EstimatorSpec, discrete_from_sample, harness, load_sample, mle_ssvm, mle_von_mises,
-    mle_wrapped_cauchy, wasserstein_fit, wp_general,
+    mle_wrapped_cauchy, wasserstein_fit,
 )
 from circwass import cli
 from circwass.cli import run_cli
 
-from conftest import loglik, scipy_modules_after, shift_scan_wp
+from conftest import loglik, scipy_modules_after, shift_scan_wp, wp_kink_scan
 
 
 def run(capsys, *argv):
@@ -58,7 +58,7 @@ class TestDist:
         assert float(out.strip()) == 0.0
 
     def test_methods_agree(self, capsys, sample_file, tmp_path):
-        # auto's equal-size kernel agrees with the general-weight one
+        # auto agrees with the general-weight reference
         other = tmp_path / "b.txt"
         run(capsys, "sample", "--family", "vm", "--kappa", "2.0", "--n", "30",
             "--seed", "4", "--out", str(other))
@@ -66,7 +66,7 @@ class TestDist:
         for p in ("1", "2"):
             code, out, _ = run(capsys, "dist", sample_file, str(other), "--p", p)
             assert code == 0
-            assert float(out) == pytest.approx(wp_general(*weighted, float(p)), abs=1e-9)
+            assert float(out) == pytest.approx(wp_kink_scan(*weighted, float(p)), abs=1e-9)
 
     def test_tied_whole_degrees(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
@@ -233,6 +233,24 @@ class TestFit:
         res = mle_wrapped_cauchy(load_sample(path))
         assert payload["evaluations"] == res.evaluations > 0
         assert payload["converged"] is res.converged
+
+    def test_wc_mle_identical_angles(self, capsys, tmp_path):
+        # rho lands next to 1, where 1 + rho^2 - 2*rho*cos(0) cancels to 0;
+        # the objective is the closed-form mode log-density, valid JSON
+        path = tmp_path / "same.txt"
+        path.write_text("1.0\n" * 5)
+        code, out, err = run(
+            capsys, "fit", "--family", "wc", "--estimator", "mle", "--data", str(path), "--json",
+        )
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        rho = payload["theta_hat"]["rho"]
+        ref = -np.log((1.0 + rho) / (2.0 * np.pi * (1.0 - rho)))
+        assert payload["objective"] == pytest.approx(ref, rel=1e-12)
 
     def test_ssvm_mle_counts(self, capsys, tmp_path):
         path = str(tmp_path / "ssvm.txt")

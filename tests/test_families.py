@@ -163,6 +163,15 @@ class TestPdf:
         ref = np.exp(2.0) / (TWO_PI * bessel_series(0, 2.0))
         assert family_pdf(theta, 0.0) == pytest.approx(ref, rel=1e-13)
 
+    def test_wc_mode_value_near_one(self):
+        # (1 + rho) / (2*pi*(1 - rho)) at the top of the rho box, where
+        # 1 + rho^2 - 2*rho*cos(x - mu) would cancel
+        rho = RHO_BOX[1]
+        theta = FamilyParams("wc", mu=0.7, rho=rho)
+        ref = (1.0 + rho) / (TWO_PI * (1.0 - rho))
+        assert family_pdf(theta, 0.7) == pytest.approx(ref, rel=1e-14)
+        assert family_logpdf(theta, 0.7) == pytest.approx(np.log(ref), rel=1e-14)
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_normalization(self, family):
         rng = np.random.default_rng(hash(family) % 2**32)

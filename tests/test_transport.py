@@ -19,9 +19,9 @@ from circwass import (
     normalize_angle,
     select_kth,
     w1_grid,
-    wp_discrete,
     wp_general,
 )
+from circwass import transport
 from circwass.circular import TWO_PI
 from circwass.transport import _canonical_order, _shift_costs
 from scipy import optimize
@@ -79,23 +79,19 @@ class TestShiftCost:
                     naive_shift_cost(a.support, b.support, k, p), abs=1e-13
                 )
 
-    def test_unequal_error(self):
-        a, _ = random_discrete_pair(np.random.default_rng(32), 4)
-        b, _ = random_discrete_pair(np.random.default_rng(33), 5)
-        with pytest.raises(ValueError, match="equal-weight"):
-            wp_discrete(a, b, 2.0)
-
 
 class TestWpDiscrete:
+    """wp_general on equal-weight discrete inputs."""
+
     def test_cross_pair(self):
         a = discrete_from_sample(make_sample([0.0, np.pi]))
         b = discrete_from_sample(make_sample([np.pi / 2, 3 * np.pi / 2]))
         for p in (1.0, 1.5, 2.0):
-            assert wp_discrete(a, b, p) == pytest.approx(np.pi / 2, abs=1e-12)
+            assert wp_general(a, b, p) == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_identity(self):
         a, _ = random_discrete_pair(np.random.default_rng(34), 17)
-        assert wp_discrete(a, a, 2.0) == 0.0
+        assert wp_general(a, a, 2.0) == 0.0
 
     def test_bruteforce_oracle(self):
         rng = np.random.default_rng(35)
@@ -103,12 +99,12 @@ class TestWpDiscrete:
             n = int(rng.integers(2, 65))
             a, b = random_discrete_pair(rng, n)
             p = float(rng.choice([1.0, 1.5, 2.0]))
-            assert wp_discrete(a, b, p) == pytest.approx(wp_bruteforce(a, b, p), abs=1e-12)
+            assert wp_general(a, b, p) == pytest.approx(wp_bruteforce(a, b, p), abs=1e-12)
 
     def test_single_atom_is_circ_dist(self):
         a = DiscreteCircularDist(np.array([0.1]), np.array([1.0]))
         b = DiscreteCircularDist(np.array([6.2]), np.array([1.0]))
-        for fn in (wp_discrete, wp_bruteforce):
+        for fn in (wp_general, wp_bruteforce):
             assert fn(a, b, 1.0) == pytest.approx(circ_dist(0.1, 6.2), abs=1e-14)
 
     def test_permutation_oracle(self):
@@ -127,15 +123,15 @@ class TestWpDiscrete:
             a, b = random_discrete_pair(rng, n)
             c, _ = random_discrete_pair(rng, n)
             for p in (1.0, 2.0):
-                dab = wp_discrete(a, b, p)
-                assert dab == wp_discrete(b, a, p)  # symmetry, exact
-                assert wp_discrete(a, c, p) <= dab + wp_discrete(b, c, p) + 1e-9
+                dab = wp_general(a, b, p)
+                assert dab == wp_general(b, a, p)  # symmetry, exact
+                assert wp_general(a, c, p) <= dab + wp_general(b, c, p) + 1e-9
 
     def test_p_monotonicity(self):
         rng = np.random.default_rng(38)
         for _ in range(20):
             a, b = random_discrete_pair(rng, int(rng.integers(2, 30)))
-            assert wp_discrete(a, b, 1.0) <= wp_discrete(a, b, 2.0) + 1e-12
+            assert wp_general(a, b, 1.0) <= wp_general(a, b, 2.0) + 1e-12
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(39)
@@ -146,8 +142,8 @@ class TestWpDiscrete:
             ar = discrete_from_sample(make_sample(a.support + delta))
             br = discrete_from_sample(make_sample(b.support + delta))
             for p in (1.0, 2.0):
-                assert wp_discrete(ar, br, p) == pytest.approx(
-                    wp_discrete(a, b, p), abs=1e-12
+                assert wp_general(ar, br, p) == pytest.approx(
+                    wp_general(a, b, p), abs=1e-12
                 )
 
     def test_bruteforce_size_cap(self):
@@ -179,7 +175,7 @@ class TestShiftSearchFitScale:
             data, atoms = (np.radians(np.round(np.degrees(x))) for x in (data, atoms))
         a, b = make_sample(data), make_sample(atoms)
         for p in (1.5, 2.0, 3.0):
-            assert wp_discrete(a, b, p) == pytest.approx(
+            assert wp_general(a, b, p) == pytest.approx(
                 shift_scan_wp(a.angles, b.angles, p), abs=1e-12
             )
 
@@ -328,12 +324,27 @@ class TestW1CdfSearch:
 
 class TestWpGeneral:
     def test_equal_weight_specialization(self):
+        # the shift search that equal weights take agrees with the
+        # general-weight reference
         rng = np.random.default_rng(46)
         for _ in range(15):
             n = int(rng.integers(2, 24))
             a, b = random_discrete_pair(rng, n)
             for p in (1.0, 2.0):
-                assert wp_general(a, b, p) == pytest.approx(wp_discrete(a, b, p), abs=1e-9)
+                assert wp_general(a, b, p) == pytest.approx(wp_kink_scan(a, b, p), abs=1e-9)
+
+    def test_unequal_sizes_exact(self):
+        # the kink bisection on unequal sizes at p > 1, tied atoms included
+        rng = np.random.default_rng(32)
+        for n, m in ((4, 5), (7, 3), (12, 17)):
+            for ties in (False, True):
+                a, b = (make_sample(rng.integers(0, 8, k) * TWO_PI / 8 if ties
+                                    else rng.uniform(0, TWO_PI, k)) for k in (n, m))
+                da, db = discrete_from_sample(a), discrete_from_sample(b)
+                for p in (1.5, 2.0, 3.0):
+                    assert wp_general(da, db, p) == pytest.approx(
+                        wp_kink_scan(da, db, p), abs=1e-9
+                    )
 
     def test_merged_duplicates_zero(self):
         a = DiscreteCircularDist(np.array([0.5, 2.0]), np.array([0.5, 0.5]))
@@ -399,16 +410,14 @@ class TestWpGeneral:
         # for concave costs a sorted matching need not be optimal
         a, b = random_discrete_pair(np.random.default_rng(50), 4)
         for p in (0.5, -1.0):
-            for wp in (wp_general, wp_discrete):
-                with pytest.raises(ValueError, match="p must be"):
-                    wp(a, b, p)
+            with pytest.raises(ValueError, match="p must be"):
+                wp_general(a, b, p)
 
     @pytest.mark.parametrize("p", (np.nan, np.inf))
     def test_p_not_finite_error(self, p):
         a, b = random_discrete_pair(np.random.default_rng(48), 4)
-        for wp in (wp_general, wp_discrete):
-            with pytest.raises(ValueError, match="p must be"):
-                wp(a, b, p)
+        with pytest.raises(ValueError, match="p must be"):
+            wp_general(a, b, p)
 
 
 def _angle_lists(n):
@@ -433,13 +442,12 @@ def _weighted_dists(draw, max_atoms=12):
 
 
 class TestW1Kernel:
-    """Properties of the exact p = 1 formula behind wp_general and wp_discrete."""
+    """Properties of the exact p = 1 formula behind wp_general."""
 
     @settings(max_examples=150)
     @given(_weighted_dists(), _weighted_dists())
     def test_symmetry_bit_exact(self, a, b):
         assert wp_general(a, b, 1.0) == wp_general(b, a, 1.0)
-        assert wp_discrete(a, b, 1.0) == wp_discrete(b, a, 1.0)
 
     @settings(max_examples=150)
     @given(_weighted_dists(), _weighted_dists(), st.floats(0.0, TWO_PI))
@@ -454,7 +462,7 @@ class TestW1Kernel:
     def test_shift_scan_equal_sizes(self, pair):
         sa, sb = pair
         ref = shift_scan_wp(sa.angles, sb.angles, 1.0)
-        assert wp_discrete(sa, sb, 1.0) == pytest.approx(ref, abs=1e-12)
+        assert wp_general(sa, sb, 1.0) == pytest.approx(ref, abs=1e-12)
         da, db = discrete_from_sample(sa), discrete_from_sample(sb)
         assert wp_general(da, db, 1.0) == pytest.approx(ref, abs=1e-12)
 
@@ -466,15 +474,15 @@ class TestW1Kernel:
     @settings(max_examples=100)
     @given(_tied_samples, _tied_samples)
     def test_ties(self, sa, sb):
-        # raw tied samples, their merged supports and (at equal sizes) the
-        # shift scan all give the same distance
-        raw = wp_discrete(sa, sb, 1.0)
-        merged = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), 1.0)
-        assert raw == pytest.approx(merged, abs=1e-12)
-        assert raw == wp_discrete(sb, sa, 1.0)
+        # raw tied samples, their empirical distributions and (at equal
+        # sizes) the shift scan all give the same distance
+        raw = wp_general(sa, sb, 1.0)
+        dists = wp_general(discrete_from_sample(sa), discrete_from_sample(sb), 1.0)
+        assert raw == pytest.approx(dists, abs=1e-12)
+        assert raw == wp_general(sb, sa, 1.0)
         if sa.n == sb.n:
             for p in (1.0, 1.5, 2.0):
-                assert wp_discrete(sa, sb, p) == pytest.approx(
+                assert wp_general(sa, sb, p) == pytest.approx(
                     shift_scan_wp(sa.angles, sb.angles, p), abs=1e-12
                 )
 
@@ -514,8 +522,38 @@ class TestWpGeneralInputs:
     @settings(max_examples=60)
     @given(_tied_samples, _tied_samples, st.sampled_from((1.5, 2.0)))
     def test_tied_samples(self, sa, sb, p):
-        # a raw sample keeps tied angles as separate 1/n atoms; the distance
-        # is that of the merged supports
+        # a raw sample keeps tied angles as separate 1/n atoms, as its
+        # empirical distribution does
         ref = wp_kink_scan(discrete_from_sample(sa), discrete_from_sample(sb), p)
         assert wp_general(sa, sb, p) == pytest.approx(ref, abs=1e-9)
         assert wp_general(sa, sb, p) == wp_general(sb, sa, p)
+
+
+class TestWpGeneralDispatch:
+    """wp_general sends equal sizes with equal weights, and nothing else, to
+    the cyclic-shift search."""
+
+    def test_shift_search_dispatch(self, monkeypatch):
+        calls = []
+        inner = transport._wp_equal_weight_arrays
+
+        def spy(xa, xb, p):
+            calls.append(xa.size)
+            return inner(xa, xb, p)
+
+        monkeypatch.setattr(transport, "_wp_equal_weight_arrays", spy)
+        rng = np.random.default_rng(54)
+        raw = [make_sample(rng.uniform(0, TWO_PI, 12)) for _ in range(2)]
+        tied = [make_sample(rng.integers(0, 6, 12) * TWO_PI / 6) for _ in range(2)]
+        for sa, sb in (raw, tied):
+            da, db = discrete_from_sample(sa), discrete_from_sample(sb)
+            for a, b in ((sa, sb), (da, db), (sa, db)):
+                calls.clear()
+                wp_general(a, b, 2.0)
+                assert calls == [12]
+        calls.clear()
+        wa, wb = random_weighted_pair(rng, 12, 12)
+        other = discrete_from_sample(make_sample(rng.uniform(0, TWO_PI, 13)))
+        for a, b in ((wa, wb), (wa, raw[0]), (raw[0], other)):
+            wp_general(a, b, 2.0)
+        assert calls == []
