@@ -1,7 +1,8 @@
 """Maximum likelihood and Wasserstein projection estimators."""
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from .circular import TWO_PI, CircularSample, circ_dist, normalize_angle
 from .families import (
     FamilyParams,
     KAPPA_BOX,
+    RHO_BOX,
     bessel_ratio,
     family_logpdf,
     family_quantile,
@@ -16,7 +18,7 @@ from .families import (
     param_box,
     vector_to_params,
 )
-from .optimize import BoxConstraints, diff_evolution_min, powell_min
+from .optimize import BoxConstraints, OptimizerReport, diff_evolution_min, powell_min
 from .transport import _check_p, _wp_equal_weight_arrays, grid_cdf_of, w1_grid
 
 __all__ = [
@@ -37,10 +39,12 @@ class EstimatorSpec:
     """Settings of one fit; the function called picks the estimator.
 
     ``grid`` discretization is the order-1 CDF-grid objective (requires p=1);
-    ``equal-mass`` places equal-weight atoms at model quantiles and works for
-    any finite p >= 1. ``de_gens > 0`` runs differential evolution, then
-    Powell from its best point and from the sample moments; ``de_gens == 0``
-    runs Powell from the moments alone. ``tol`` must be finite and positive.
+    ``equal-mass`` places equal-weight atoms at the model's midpoint
+    quantiles and works for any finite p >= 1; at p = 2 mu is solved exactly
+    and the search runs over the other parameters. ``de_gens > 0`` runs
+    differential evolution, then Powell from its best point and from the
+    sample moments; ``de_gens == 0`` runs Powell from the moments alone.
+    ``tol`` must be finite and positive.
     """
 
     p: float = 1.0
@@ -162,7 +166,7 @@ def mle_wrapped_cauchy(sample: CircularSample) -> FitResult:
         if delta < 1e-10:
             converged = True
             break
-    rho = min(abs(eta), 1.0 - 1e-9)
+    rho = min(abs(eta), RHO_BOX[1])
     mu = float(normalize_angle(np.angle(eta)))
     return _mle_result(FamilyParams("wc", mu=mu, rho=rho), sample, it, converged)
 
@@ -179,10 +183,9 @@ def _moment_start(sample: CircularSample, family: str) -> np.ndarray:
     return np.array([values[p] for p in free_param_names(family)])
 
 
-def _minimize(objective, family: str, spec: EstimatorSpec, x0: np.ndarray) -> FitResult:
+def _minimize(objective, box: BoxConstraints, spec: EstimatorSpec, x0: np.ndarray) -> OptimizerReport:
     if x0.size == 0:  # no free parameters: the fit is the family itself
-        return FitResult(vector_to_params(family, x0), float(objective(x0)), 1, True)
-    box = BoxConstraints(*param_box(family))
+        return OptimizerReport(x0, float(objective(x0)), 1, True)
     reports = []
     if spec.de_gens > 0:
         de = diff_evolution_min(
@@ -192,7 +195,7 @@ def _minimize(objective, family: str, spec: EstimatorSpec, x0: np.ndarray) -> Fi
     reports.append(powell_min(objective, x0, box, tol=spec.tol))
     best = min(reports, key=lambda r: r.value)
     evals = sum(r.evaluations for r in reports)
-    return FitResult(vector_to_params(family, best.argmin), best.value, evals, best.converged)
+    return OptimizerReport(best.argmin, best.value, evals, best.converged)
 
 
 def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitResult:
@@ -209,13 +212,84 @@ def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitRe
         lp = family_logpdf(theta, x)
         return np.inf if np.any(np.isneginf(lp)) else -float(np.mean(lp))
 
-    res = _minimize(objective, "ssvm", spec, x0=_moment_start(sample, "ssvm"))
-    if not np.isfinite(res.objective):
+    box = BoxConstraints(*param_box("ssvm"))
+    rep = _minimize(objective, box, spec, _moment_start(sample, "ssvm"))
+    if not np.isfinite(rep.value):
         raise ValueError("no feasible sine-skewed von Mises parameters found")
-    return res
+    return FitResult(vector_to_params("ssvm", rep.argmin), rep.value, rep.evaluations, rep.converged)
+
+
+def _antimode(theta: FamilyParams) -> float:
+    """Where the density of theta rotated to mu = 0 is lowest: pi, except
+    for a skewed ssvm. There the log-density's slope, times
+    1 + lambda*sin(t) > 0, changes sign in [pi, 3*pi/2] when lambda > 0, and
+    lambda -> -lambda mirrors t -> -t."""
+    if theta.family != "ssvm" or theta.lam == 0.0:
+        return np.pi
+    from scipy.optimize import brentq
+
+    k, lam = theta.kappa, abs(theta.lam)
+    a = brentq(
+        lambda t: lam * math.cos(t) - k * math.sin(t) * (1.0 + lam * math.sin(t)),
+        np.pi, 1.5 * np.pi, xtol=1e-15,
+    )
+    return a if theta.lam > 0.0 else TWO_PI - a
+
+
+def _base_atoms(theta: FamilyParams, m: int) -> np.ndarray:
+    """The m equal-mass atoms of theta rotated to mu = 0, sorted, so that
+    the atoms at any mu are normalize(mu + b).
+
+    They are the model's quantiles at the midpoint levels (k - 1/2)/m with
+    the cut at its antimode a, laid out in (a - 2*pi, a), so the model's
+    mode lies inside and no atom sits at a cut."""
+    a = _antimode(theta)
+    q = family_quantile(replace(theta, mu=-a), (np.arange(m) + 0.5) / m)
+    return q + (a - TWO_PI)
+
+
+def _rotation_profile(x: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(min over mu and k of mean_i (x_i - mu - c_{i+k})^2, the mu attaining
+    it), for sorted x and sorted b spanning less than a turn, with c = b
+    extended by whole turns (c_{j+n} = c_j + 2*pi).
+
+    That is the squared W2 between x and the atoms normalize(mu + b),
+    minimized over mu (Rabin, Delon & Gousseau 2011). For shift k the best
+    mu is the mean difference and the minimum is the variance of the
+    differences. One real FFT cross-correlation and prefix sums give the
+    variances of all n shifts, and the near-minimal ones are summed again
+    directly, so the value returned is exact up to rounding.
+    """
+    n = x.size
+    xc, bc = x - x.mean(), b - b.mean()
+    k = np.arange(n)
+    cross = np.fft.irfft(np.conj(np.fft.rfft(xc)) * np.fft.rfft(bc), n)  # sum_i xc_i bc_{(i+k) mod n}
+    # shift k pairs x_{n-k..n-1} with b_{0..k-1} + 2*pi
+    b_head = np.concatenate([[0.0], np.cumsum(bc[:-1])])
+    x_tail = np.concatenate([[0.0], np.cumsum(xc[:0:-1])])
+    sq = xc @ xc + bc @ bc + 2.0 * TWO_PI * (b_head - x_tail) + TWO_PI**2 * k - 2.0 * cross
+    var = sq / n - (TWO_PI * k / n) ** 2
+    # the FFT's rounding is ~1e-13 here; ties (a symmetric sample) keep at most 4
+    near = np.argsort(var, kind="stable")[:4]
+    best = (np.inf, 0.0)
+    for j in near[var[near] <= var[near[0]] + 1e-9]:
+        d = x - np.concatenate([b[j:], b[:j] + TWO_PI])
+        mu = d.mean()
+        v = float(np.mean((d - mu) ** 2))
+        if v < best[0]:
+            best = (v, float(mu))
+    return best[0], float(normalize_angle(best[1]))
+
+
+def _equal_mass_points(sample: CircularSample, spec: EstimatorSpec) -> int:
+    m = sample.n if spec.points is None else spec.points
+    if m != sample.n:
+        raise ValueError("equal-mass discretization requires points = n")
+    return m
 
 
 def _wasserstein_objective(sample: CircularSample, family: str, spec: EstimatorSpec):
+    """The W_p objective of a full parameter vector."""
     if spec.discretization == "grid":
         D = sample.n if spec.points is None else spec.points
         q = grid_cdf_of(sample, D)
@@ -224,15 +298,12 @@ def _wasserstein_objective(sample: CircularSample, family: str, spec: EstimatorS
             return w1_grid(q, grid_cdf_of(vector_to_params(family, vec), D))
 
     else:
-        m = sample.n if spec.points is None else spec.points
-        if m != sample.n:
-            raise ValueError("equal-mass discretization requires points = n")
+        m = _equal_mass_points(sample, spec)
         xa = sample.angles
-        levels = np.arange(1, m + 1) / m
 
         def objective(vec):
             theta = vector_to_params(family, vec)
-            atoms = np.sort(normalize_angle(family_quantile(theta, levels)))
+            atoms = np.sort(normalize_angle(theta.mu + _base_atoms(theta, m)))
             return _wp_equal_weight_arrays(xa, atoms, spec.p)
 
     return objective
@@ -242,11 +313,30 @@ def wasserstein_fit(
     sample: CircularSample, family: str, spec: EstimatorSpec | None = None
 ) -> FitResult:
     """Projection estimator: minimize the circular W_p distance between the
-    empirical distribution and the model over the family's parameter box."""
+    empirical distribution and the model over the family's parameter box.
+
+    With equal-mass atoms at p = 2, mu is solved exactly for each value of
+    the other (shape) parameters, and the search runs over those alone."""
     if spec is None:
         spec = EstimatorSpec()
-    objective = _wasserstein_objective(sample, family, spec)
-    return _minimize(objective, family, spec, x0=_moment_start(sample, family))
+    x0 = _moment_start(sample, family)
+    lower, upper, periodic = param_box(family)
+    # every family with free parameters has mu first
+    if spec.p == 2.0 and spec.discretization == "equal-mass" and x0.size > 0:
+        m = _equal_mass_points(sample, spec)
+
+        def profile(shape):
+            theta = vector_to_params(family, (0.0, *shape))
+            return _rotation_profile(sample.angles, _base_atoms(theta, m))
+
+        box = BoxConstraints(lower[1:], upper[1:], periodic[1:])
+        rep = _minimize(lambda shape: math.sqrt(profile(shape)[0]), box, spec, x0[1:])
+        vec = (profile(rep.argmin)[1], *rep.argmin)
+    else:
+        objective = _wasserstein_objective(sample, family, spec)
+        rep = _minimize(objective, BoxConstraints(lower, upper, periodic), spec, x0)
+        vec = rep.argmin
+    return FitResult(vector_to_params(family, vec), rep.value, rep.evaluations, rep.converged)
 
 
 def circular_sq_error(est: float, truth: float) -> float:

@@ -1,10 +1,10 @@
 """Selection and derivative-free minimization over a parameter box.
 
 ``select_kth`` is numpy's introselect. ``powell_min`` and
-``diff_evolution_min`` adapt scipy's Powell method and rand/1/bin
-differential evolution to ``BoxConstraints``, whose periodic dimensions
-wrap. scipy.optimize is imported inside them, so ``import circwass`` does
-not load it.
+``diff_evolution_min`` adapt scipy's Powell method (Brent's in one
+dimension) and rand/1/bin differential evolution to ``BoxConstraints``,
+whose periodic dimensions wrap. scipy.optimize is imported inside them,
+so ``import circwass`` does not load it.
 """
 
 from dataclasses import dataclass
@@ -81,32 +81,64 @@ def powell_min(
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> OptimizerReport:
-    """scipy's bounded Powell method from x0; returns the best point evaluated.
+    """scipy's bounded Powell method from x0, or in one dimension scipy's
+    Brent search; returns the best point evaluated.
 
-    A periodic coordinate is bounded to one turn centred on x0, and f must
-    wrap it: unbounded, the line searches run over many turns. scipy's
-    bounded line search may accept a worse point, so the best point seen is
-    returned, never one above f(x0). Hitting max_iter yields converged=False.
+    Every point is clipped to the box before f sees it. A periodic
+    coordinate is bounded to one turn centred on x0, and f must wrap it:
+    unbounded, the line searches run over many turns. x0 is evaluated first,
+    and the best point seen is returned, never one above f(x0). Hitting
+    max_iter yields converged=False.
     """
-    from scipy.optimize import minimize
-
     x = box.project(np.asarray(x0, dtype=float))
     if x.size != box.dim:
         raise ValueError("x0 dimension does not match box")
     lower = np.where(box.periodic, x - np.pi, box.lower)
     upper = np.where(box.periodic, x + np.pi, box.upper)
-    seen = []  # (value, point) of every evaluation; scipy evaluates x0 first
+    seen = []  # (value, point) of every evaluation
 
     def fc(y):
-        seen.append((float(f(y)), y.copy()))
+        y = np.clip(y, lower, upper)
+        seen.append((float(f(y)), y))
         return seen[-1][0]
 
-    res = minimize(
-        fc, x, method="Powell", bounds=list(zip(lower, upper)),
-        options={"xtol": max(tol * 1e-2, 1e-12), "ftol": tol, "maxiter": max_iter},
-    )
+    if box.dim == 1:
+        converged = _brent_min(fc, x[0], lower[0], upper[0], tol, max_iter)
+    else:
+        from scipy.optimize import minimize
+
+        res = minimize(
+            fc, x, method="Powell", bounds=list(zip(lower, upper)),
+            options={"xtol": max(tol * 1e-2, 1e-12), "ftol": tol, "maxiter": max_iter},
+        )
+        converged = bool(res.success)
     value, argmin = min(seen, key=lambda vx: vx[0])
-    return OptimizerReport(box.project(argmin), value, len(seen), bool(res.success))
+    return OptimizerReport(box.project(argmin), value, len(seen), converged)
+
+
+def _brent_min(fc, x: float, lo: float, hi: float, tol: float, max_iter: int) -> bool:
+    """scipy's bracketed Brent search of fc on [lo, hi] from x, to a relative
+    step of tol; whether it converged.
+
+    Outside the box the search sees the value at the nearest face plus a
+    penalty growing with the distance, so every bracket closes inside the
+    box and a minimum at a face is found at the face. scipy's bounded method
+    cannot step below sqrt(eps)*|x|, so it is not used.
+    """
+    from scipy.optimize import minimize_scalar
+
+    def g(t):
+        c = min(max(t, lo), hi)
+        v = fc(np.array([c]))
+        return v if t == c else v + abs(t - c) * (1.0 + abs(v))
+
+    step = 0.1 * max(abs(x), 1e-2 * (hi - lo))
+    res = minimize_scalar(
+        g, bracket=(x, x + step), method="brent", options={"xtol": tol, "maxiter": max_iter}
+    )
+    # no iteration: the bracket failed, which happens only where f is flat
+    # around x, and x is then as good as any point seen
+    return bool(res.success) or res.nit == 0
 
 
 def diff_evolution_min(

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circwass
 from circwass import (
     EstimatorSpec, discrete_from_sample, harness, load_sample, mle_ssvm, mle_von_mises,
     mle_wrapped_cauchy, wasserstein_fit,
@@ -480,6 +485,37 @@ class TestDirectoryInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestModuleEntry:
+    def test_python_m_dist(self, tmp_path):
+        # python -m circwass is the same CLI as the circwass script
+        path = tmp_path / "a.txt"
+        path.write_text("0.0\n")
+        other = tmp_path / "b.txt"
+        other.write_text("1.5\n")
+        src = str(Path(circwass.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "circwass", "dist", str(path), str(other)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(1.5, abs=1e-12)
+
+
+class TestFitInsideBox:
+    def test_contam_w1_on_identical_angles(self, capsys, tmp_path):
+        # scipy's bounded Powell once evaluated epsilon = -2.5e-32 here, and
+        # FamilyParams refused it: exit 2
+        path = tmp_path / "same.txt"
+        path.write_text("1.0\n" * 5)
+        code, out, err = run(
+            capsys, "fit", "--family", "vm-contam", "--estimator", "w1", "--data", str(path),
+            "--de-gens", "2", "--json",
+        )
+        assert code == 0, err
+        assert 0.0 <= json.loads(out)["theta_hat"]["epsilon"] <= 1.0
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import optimize
 
 from circwass import (
@@ -18,13 +19,15 @@ from circwass import (
     mle_ssvm,
     mle_von_mises,
     mle_wrapped_cauchy,
-    normalize_angle,
     wasserstein_fit,
 )
 from circwass.circular import TWO_PI
-from circwass.estimate import circular_mean_resultant, fit_mle, mle
-from circwass.families import KAPPA_BOX, bessel_ratio
-from circwass.optimize import BoxConstraints, diff_evolution_min
+from circwass.estimate import (
+    _moment_start, _rotation_profile, _wasserstein_objective, circular_mean_resultant, fit_mle, mle,
+)
+from circwass.families import KAPPA_BOX, RHO_BOX, bessel_ratio, param_box, params_to_vector
+from circwass.harness import estimator_spec_from_name
+from circwass.optimize import BoxConstraints, diff_evolution_min, powell_min
 
 from conftest import bessel_series, loglik
 
@@ -160,6 +163,12 @@ class TestMleWrappedCauchy:
         with pytest.raises(ValueError):
             mle_wrapped_cauchy(make_sample([0.1, 0.2]))
 
+    def test_identical_angles_rho_in_box(self):
+        # the fixed point runs to rho -> 1; the estimate stops at the box's top
+        res = mle_wrapped_cauchy(make_sample([1.0] * 5))
+        assert res.theta_hat.rho == RHO_BOX[1]
+        assert res.theta_hat.mu == pytest.approx(1.0, abs=1e-12)
+
 
 class TestMleSsvm:
     def test_lambda0_data(self):
@@ -206,12 +215,48 @@ class TestEstimatorSpec:
             EstimatorSpec(de_gens=-1)
 
 
+# angles in [0, 2*pi) with the cut's two sides and ties drawn often
+_ANGLE = st.one_of(
+    st.sampled_from([0.0, float(np.nextafter(TWO_PI, 0.0)), 1.0, 1.0 + 1e-12, np.pi]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+
+
+@st.composite
+def _profile_inputs(draw):
+    n = draw(st.integers(1, 50))
+    x = np.sort(draw(st.lists(_ANGLE, min_size=n, max_size=n)))
+    # b spans less than a turn, from any start
+    start = draw(st.floats(-TWO_PI, TWO_PI))
+    b = np.sort(start + np.array(draw(st.lists(_ANGLE, min_size=n, max_size=n))))
+    return x, b
+
+
+class TestRotationProfile:
+    @given(_profile_inputs())
+    def test_shift_scan_oracle(self, xb):
+        # every shift k pairs x_i with b_{i+k}, wound by a turn past the end;
+        # the best mu of a shift is the mean difference, its cost the variance
+        x, b = xb
+        n = x.size
+        diffs = [x - np.concatenate([b[k:], b[:k] + TWO_PI]) for k in range(n)]
+        want = min(float(np.sum((d - np.sum(d) / n) ** 2)) / n for d in diffs)
+        value, mu = _rotation_profile(x, b)
+        assert value == pytest.approx(want, abs=1e-12)
+        # mu attains it, up to whole turns
+        assert 0.0 <= mu < TWO_PI
+        at_mu = min(float(np.mean((d - mu - TWO_PI * m) ** 2)) for d in diffs for m in range(-4, 5))
+        assert at_mu == pytest.approx(want, abs=1e-12)
+
+
 class TestWassersteinFit:
     def test_perfect_fit_fixed_point(self):
-        # sample placed exactly at the model's equal-mass atoms: the
-        # objective at the truth is 0 and the fit must find (near) zero
+        # sample placed exactly at the model's equal-mass atoms (midpoint
+        # levels, cut at the antimode mu + pi): the objective at the truth
+        # is 0 and the fit must find (near) zero
         truth = FamilyParams("vm", mu=0.3, kappa=2.0)
-        atoms = normalize_angle(family_quantile(truth, np.arange(1, 65) / 64))
+        at_cut = FamilyParams("vm", mu=np.pi, kappa=2.0)
+        atoms = family_quantile(at_cut, (np.arange(64) + 0.5) / 64) - np.pi + truth.mu
         s = make_sample(atoms)
         spec = EstimatorSpec(p=2.0, discretization="equal-mass", de_gens=0, tol=1e-12)
         res = wasserstein_fit(s, "vm", spec)
@@ -226,6 +271,55 @@ class TestWassersteinFit:
         r2 = wasserstein_fit(make_sample(s.angles + delta), "vm", spec)
         assert circ_dist(r2.theta_hat.mu, r1.theta_hat.mu + delta) <= 0.02
         assert r2.theta_hat.kappa == pytest.approx(r1.theta_hat.kappa, rel=2e-2)
+
+    @pytest.mark.parametrize("phi", (0.3, np.pi, 5.9))
+    @pytest.mark.parametrize(
+        "truth",
+        (
+            FamilyParams("vm", mu=0.3, kappa=2.0),
+            FamilyParams("wc", mu=0.3, rho=0.6),
+            FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5),
+            FamilyParams("vm-contam", mu=0.3, kappa=5.0, eps=0.1),
+        ),
+        ids=lambda t: t.family,
+    )
+    def test_w2_rotation_equivariance(self, truth, phi):
+        # the atoms rotate with mu and mu is solved exactly, so a rotated
+        # sample gives the rotated fit; only the 2-D Powell searches of ssvm
+        # and vm-contam drift, by rounding, within their tolerance
+        s = family_sample(truth, 200, 30)
+        spec = EstimatorSpec(p=2.0, discretization="equal-mass", de_gens=0, tol=1e-12)
+        r0 = wasserstein_fit(s, truth.family, spec)
+        r = wasserstein_fit(make_sample(s.angles + phi), truth.family, spec)
+        mu_tol = 1e-6 if truth.family == "ssvm" else 1e-12
+        assert circ_dist(r.theta_hat.mu, r0.theta_hat.mu + phi) <= mu_tol
+        shape0, shape = params_to_vector(r0.theta_hat)[1:], params_to_vector(r.theta_hat)[1:]
+        assert shape == pytest.approx(shape0, rel=1e-6, abs=1e-6)
+        assert r.objective == pytest.approx(r0.objective, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "truth",
+        (
+            FamilyParams("vm", mu=0.3, kappa=2.0),
+            FamilyParams("vm", mu=0.3, kappa=400.0),
+            FamilyParams("wc", mu=np.pi / 8, rho=0.4),
+        ),
+        ids=("vm-k2", "vm-k400", "wc"),
+    )
+    def test_w2_not_above_joint_powell(self, truth):
+        # solving mu exactly ends at or below Powell over (mu, shape) on the
+        # same objective, from the same start, with the sweep's tolerance
+        spec = estimator_spec_from_name("w2")
+        box = BoxConstraints(*param_box(truth.family))
+        for seed in range(2):
+            s = family_sample(truth, 1000, seed)
+            res = wasserstein_fit(s, truth.family, spec)
+            joint = powell_min(
+                _wasserstein_objective(s, truth.family, spec), _moment_start(s, truth.family),
+                box, tol=spec.tol,
+            )
+            assert res.objective <= joint.value * (1.0 + 1e-9)
+            assert res.evaluations < joint.evaluations
 
     def test_equal_mass_points_must_match_n(self):
         s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 50, 17)
@@ -250,9 +344,6 @@ class TestWassersteinFit:
         # grid and equal-mass W1 objectives approximate the same distance
         s = family_sample(FamilyParams("vm", mu=0.3, kappa=2.0), 128, 19)
         theta = FamilyParams("vm", mu=0.5, kappa=1.5)
-        from circwass.estimate import _wasserstein_objective
-        from circwass.families import params_to_vector
-
         grid_spec = EstimatorSpec(p=1.0, discretization="grid")
         em_spec = EstimatorSpec(p=1.0, discretization="equal-mass")
         g = _wasserstein_objective(s, "vm", grid_spec)(params_to_vector(theta))
@@ -273,10 +364,6 @@ class TestWassersteinFit:
         # the sweep's fit starts at the moments and must end at or below the
         # objective at the sampling parameter; a search that runs mu over
         # many turns and returns its last point ends far above it on vm-k2 w2
-        from circwass.estimate import _wasserstein_objective
-        from circwass.families import params_to_vector
-        from circwass.harness import estimator_spec_from_name
-
         s = family_sample(truth, 1000, 0)
         spec = estimator_spec_from_name(estimator)
         res = wasserstein_fit(s, truth.family, spec)

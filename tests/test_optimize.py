@@ -174,6 +174,37 @@ class TestPowell:
         assert rep.argmin[0] == pytest.approx(-10.0, abs=1e-6)
 
 
+class TestPowellOneDim:
+    # one dimension runs Brent's method instead of Powell's
+
+    def test_honours_tol(self):
+        # the bounded scalar method stalls at a step of sqrt(eps)*|x| ~ 1e-8
+        c = 2.0 + 1e-3
+        rep = powell_min(lambda x: float((x[0] - c) ** 2), np.array([1.0]), _plain_box(1), tol=1e-12)
+        assert abs(rep.argmin[0] - c) <= 1e-10
+        assert rep.converged
+
+    def test_minimum_beyond_face(self):
+        # f is never called outside the box, and the face itself is returned
+        def f(x):
+            assert -10.0 <= x[0] <= 10.0
+            return float(-x[0])
+
+        rep = powell_min(f, np.array([9.0]), _plain_box(1), tol=1e-10)
+        assert rep.argmin[0] == 10.0 and rep.value == -10.0
+
+    def test_start_at_face(self):
+        rep = powell_min(lambda x: float((x[0] - 3.0) ** 2), np.array([-10.0]), _plain_box(1), tol=1e-12)
+        assert rep.argmin[0] == pytest.approx(3.0, abs=1e-10)
+
+    def test_flat(self):
+        calls = []
+        rep = powell_min(lambda x: calls.append(x.copy()) or 1.0, np.array([0.5]), _plain_box(1))
+        assert calls[0][0] == 0.5
+        assert (rep.argmin[0], rep.value, rep.converged) == (0.5, 1.0, True)
+        assert rep.evaluations == len(calls) <= 5
+
+
 class TestDiffEvolution:
     def test_constant(self):
         rep = diff_evolution_min(lambda x: 7.0, _plain_box(2, 0.0, 1.0), pop=8, gens=5, seed=1)
