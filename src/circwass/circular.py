@@ -98,8 +98,8 @@ class DiscreteCircularDist:
     weights: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.support, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        s = np.array(self.support, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if s.ndim != 1 or s.size == 0 or s.shape != w.shape:
             raise ValueError("support and weights must be matching non-empty 1-D arrays")
         if np.any(s < 0.0) or np.any(s >= TWO_PI):
@@ -108,8 +108,9 @@ class DiscreteCircularDist:
             raise ValueError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        order = np.argsort(s, kind="stable")
-        s, w = s[order], w[order]
+        if not np.all(s[:-1] <= s[1:]):
+            order = np.argsort(s, kind="stable")
+            s, w = s[order], w[order]
         s.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "support", s)

@@ -11,6 +11,9 @@ from .families import (
     FamilyParams,
     KAPPA_BOX,
     RHO_BOX,
+    _grid_cdf_kernel,
+    _logpdf,
+    _param_floats,
     bessel_ratio,
     family_logpdf,
     family_quantile,
@@ -19,7 +22,14 @@ from .families import (
     vector_to_params,
 )
 from .optimize import BoxConstraints, OptimizerReport, diff_evolution_min, powell_min
-from .transport import _check_p, _wp_equal_weight_arrays, grid_cdf_of, w1_grid
+from .transport import (
+    _check_p,
+    _grid_values,
+    _w1_grid_sum,
+    _wp_equal_weight_arrays,
+    grid_cdf_of,
+    w1_grid,  # noqa: F401  (bench/spans.py traces it under this module)
+)
 
 __all__ = [
     "EstimatorSpec",
@@ -208,8 +218,7 @@ def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitRe
     x = sample.angles
 
     def objective(vec):
-        theta = vector_to_params("ssvm", vec)
-        lp = family_logpdf(theta, x)
+        lp = _logpdf("ssvm", _param_floats("ssvm", vec), x)
         return np.inf if np.any(np.isneginf(lp)) else -float(np.mean(lp))
 
     box = BoxConstraints(*param_box("ssvm"))
@@ -289,13 +298,18 @@ def _equal_mass_points(sample: CircularSample, spec: EstimatorSpec) -> int:
 
 
 def _wasserstein_objective(sample: CircularSample, family: str, spec: EstimatorSpec):
-    """The W_p objective of a full parameter vector."""
+    """The W_p objective of a full parameter vector.
+
+    The grid objective is w1_grid(grid_cdf_of(sample, D),
+    grid_cdf_of(vector_to_params(family, vec), D)), computed on the same
+    kernels without building a FamilyParams or a GridCdf per evaluation."""
     if spec.discretization == "grid":
         D = sample.n if spec.points is None else spec.points
-        q = grid_cdf_of(sample, D)
+        q = grid_cdf_of(sample, D).values
+        model_cdf = _grid_cdf_kernel(family, D)
 
         def objective(vec):
-            return w1_grid(q, grid_cdf_of(vector_to_params(family, vec), D))
+            return _w1_grid_sum(q - _grid_values(model_cdf(_param_floats(family, vec))))
 
     else:
         m = _equal_mass_points(sample, spec)

@@ -86,14 +86,45 @@ class FamilyParams:
                 object.__setattr__(self, name, float(val))
             elif val is not None:
                 raise ValueError(f"{self.family} does not take parameter {name}")
-        if self.kappa is not None and not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
-        if self.rho is not None and not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.lam is not None and not -1.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [-1, 1]")
-        if self.eps is not None and not 0.0 <= self.eps <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+        for name in _PARAMS[self.family][1:]:
+            _check_domain(name, getattr(self, name))
+
+
+# the domain of each shape parameter, and the error a value outside it raises
+_DOMAINS = {
+    "kappa": (lambda v: v > 0.0, "kappa must be positive"),
+    "rho": (lambda v: 0.0 <= v < 1.0, "rho must lie in [0, 1)"),
+    "lam": (lambda v: -1.0 <= v <= 1.0, "lambda must lie in [-1, 1]"),
+    "eps": (lambda v: 0.0 <= v <= 1.0, "epsilon must lie in [0, 1]"),
+}
+
+
+def _check_domain(name: str, value: float) -> None:
+    inside, message = _DOMAINS[name]
+    if not inside(value):
+        raise ValueError(message)
+
+
+def _param_floats(family: str, vec) -> tuple:
+    """A parameter vector as the floats FamilyParams would hold, in vector
+    order: mu wrapped into [0, 2*pi) as normalize_angle does, each shape
+    parameter checked against its domain with FamilyParams's error."""
+    names = _PARAMS[family]
+    if not names:
+        return ()
+    mu = float(vec[0])
+    mu -= TWO_PI * float(np.floor(mu / TWO_PI))
+    if mu >= TWO_PI:  # floor rounding can leave exactly 2*pi
+        mu -= TWO_PI
+    shape = tuple(float(v) for v in vec[1:])
+    for name, v in zip(names[1:], shape):
+        _check_domain(name, v)
+    return (mu, *shape)
+
+
+def _free_params(theta: FamilyParams) -> tuple:
+    """theta's free parameters in vector order."""
+    return tuple(getattr(theta, p) for p in _PARAMS[theta.family])
 
 
 def _ive(nu: int, kappa: float) -> float:
@@ -125,11 +156,12 @@ def bessel_ratio(kappa: float) -> float:
 def _vm_fourier_ratios(kappa: float) -> np.ndarray:
     """Coefficients r_j = I_j(kappa)/I_0(kappa), truncated when < 1e-16: the ratios
     I_j/I_{j-1} = kappa/(2j + kappa*I_{j+1}/I_j) by backward recurrence (Gautschi 1967)."""
-    jmax = max(24, int(9.0 * np.sqrt(kappa)) + 16)
-    rho = [0.0]
-    for j in range(jmax + 20, 0, -1):
-        rho.append(kappa / (2.0 * j + kappa * rho[-1]))
-    r = np.cumprod(rho[::-1][:jmax])
+    jmax = max(24, int(9.0 * math.sqrt(kappa)) + 16)
+    # every step waits on the one before it, so it stays a Python loop,
+    # kept lean: rho holds I_j/I_{j-1} for j = jmax + 20 down to 1
+    ratio = 0.0
+    rho = [ratio := kappa / (two_j + kappa * ratio) for two_j in range(2 * (jmax + 20), 0, -2)]
+    r = np.cumprod(rho[: -jmax - 1 : -1])
     return r[: max(1, np.count_nonzero(r >= 1e-16))]
 
 
@@ -168,16 +200,24 @@ def _wc_winding(t, rho):
     return k + np.arctan2(c * np.sin(t0 / 2.0), np.cos(t0 / 2.0)) / np.pi
 
 
-def _vm_cdf_grid(mu, kappa, D):
-    """von Mises CDF at 2*pi*i/D, i = 1..D, by one real inverse FFT: e^{ijx}
-    has period D in j there, so folding -(i/2)*D*(r_j/j)*e^{-ij*mu} into bins
-    j mod D is exact; irfft takes bin D - b as bin b conjugated, 0 and D/2 once."""
+def _vm_grid_factor(kappa: float, D: int) -> np.ndarray:
+    """The part -(i/2)*D*r_j/j of the von Mises grid spectrum that depends
+    on kappa and D alone (see _vm_cdf_grid)."""
     ratios = _vm_fourier_ratios(kappa)
-    j = np.arange(1, ratios.size + 1)
-    coef = -0.5j * D * ratios / j * np.exp(-1j * j * mu)
+    return -0.5j * D * ratios / np.arange(1, ratios.size + 1)
+
+
+def _vm_cdf_grid(mu, factor, levels):
+    """von Mises CDF at 2*pi*i/D, i = 1..D, by one real inverse FFT, with
+    factor = _vm_grid_factor(kappa, D) and levels = i/D: e^{ijx} has period
+    D in j there, so folding -(i/2)*D*(r_j/j)*e^{-ij*mu} into bins j mod D
+    is exact; irfft takes bin D - b as bin b conjugated, 0 and D/2 once."""
+    D = levels.size
+    j = np.arange(1, factor.size + 1)
+    coef = factor * np.exp(-1j * j * mu)
     spectrum = np.zeros(D // 2 + 1, dtype=complex)
-    if ratios.size < D // 2:  # no harmonic folds: bin j holds coef_j alone
-        spectrum[1 : ratios.size + 1] = coef
+    if factor.size < D // 2:  # no harmonic folds: bin j holds coef_j alone
+        spectrum[1 : factor.size + 1] = coef
     else:
         b = j % D
         np.add.at(spectrum, np.minimum(b, D - b), np.where(b > D - b, coef.conj(), coef))
@@ -186,28 +226,53 @@ def _vm_cdf_grid(mu, kappa, D):
     s = np.fft.irfft(spectrum, D)
     s[:-1] = s[1:] - s[0]
     s[-1] = 0.0
-    return np.arange(1, D + 1) / D + s / np.pi
+    return levels + s / np.pi
 
 
-def _cdf0(theta: FamilyParams, x, D: int = 0):
-    """CDF on the canonical cut, valid for x in [0, 2*pi]. D > 0 says that x
-    is the grid 2*pi*i/D, i = 1..D, where the von Mises part is one FFT."""
+# The kernels below take a family's free parameters as floats in vector
+# order, as _param_floats gives them; the public functions taking a
+# FamilyParams are thin wrappers over them.
+
+
+def _cdf0(family: str, params: tuple, x, vm_cdf=None):
+    """CDF on the canonical cut, valid for x in [0, 2*pi]. vm_cdf(mu, kappa),
+    when given, is the von Mises part at x (the grid's FFT); otherwise its
+    series is summed at x."""
     x = np.asarray(x, dtype=float)
-    f = theta.family
-    if f == "uniform":
+    if family == "uniform":
         return x / TWO_PI
-    if f == "wc":
-        return _wc_winding(x - theta.mu, theta.rho) - _wc_winding(-theta.mu, theta.rho)
-    mu, kappa = theta.mu, theta.kappa
-    vm = _vm_cdf_grid(mu, kappa, D) if D else _vm_cdf0(x, mu, kappa)
-    if f == "vm":
+    mu = params[0]
+    if family == "wc":
+        return _wc_winding(x - mu, params[1]) - _wc_winding(-mu, params[1])
+    kappa = params[1]
+    vm = vm_cdf(mu, kappa) if vm_cdf else _vm_cdf0(x, mu, kappa)
+    if family == "vm":
         return vm
-    if f == "ssvm":
+    if family == "ssvm":
         # the lambda*sin(t - mu) part of the density integrates to a pdf difference
-        return vm + theta.lam / kappa * (_vm_pdf(0.0, mu, kappa) - _vm_pdf(x, mu, kappa))
-    if f == "vm-contam":
-        return (1.0 - theta.eps) * vm + theta.eps * x / TWO_PI
-    raise AssertionError(f)
+        return vm + params[2] / kappa * (_vm_pdf(0.0, mu, kappa) - _vm_pdf(x, mu, kappa))
+    if family == "vm-contam":
+        return (1.0 - params[2]) * vm + params[2] * x / TWO_PI
+    raise AssertionError(family)
+
+
+def _grid_cdf_kernel(family: str, D: int):
+    """cdf(params): the family's CDF at the D grid points 2*pi*i/D,
+    i = 1..D. The kappa-only factor of the von Mises spectrum is kept for
+    the last kappa seen, so a search step that leaves kappa alone skips
+    the ratio recurrence."""
+    levels = np.arange(1, D + 1) / D
+    last = [None, None]  # kappa, _vm_grid_factor(kappa, D)
+
+    def vm_cdf(mu, kappa):
+        if kappa != last[0]:
+            last[:] = kappa, _vm_grid_factor(kappa, D)
+        return _vm_cdf_grid(mu, last[1], levels)
+
+    if family == "vm":
+        return lambda params: vm_cdf(*params)
+    grid = TWO_PI * np.arange(1, D + 1) / D
+    return lambda params: _cdf0(family, params, grid, vm_cdf)
 
 
 def _wc_terms(rho: float, t):
@@ -216,48 +281,51 @@ def _wc_terms(rho: float, t):
     return (1.0 - rho) * (1.0 + rho), (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * t) ** 2
 
 
+def _pdf(family: str, params: tuple, x):
+    x = np.asarray(x, dtype=float)
+    if family == "uniform":
+        return np.full_like(x, 1.0 / TWO_PI)
+    mu, shape = params[0], params[1]
+    if family == "vm":
+        return _vm_pdf(x, mu, shape)
+    if family == "wc":
+        num, den = _wc_terms(shape, x - mu)
+        return num / (TWO_PI * den)
+    if family == "ssvm":
+        return np.maximum(_vm_pdf(x, mu, shape) * (1.0 + params[2] * np.sin(x - mu)), 0.0)
+    if family == "vm-contam":
+        return (1.0 - params[2]) * _vm_pdf(x, mu, shape) + params[2] / TWO_PI
+    raise AssertionError(family)
+
+
+def _logpdf(family: str, params: tuple, x):
+    x = np.asarray(x, dtype=float)
+    if family == "uniform":
+        return np.full_like(x, -np.log(TWO_PI))
+    mu, shape = params[0], params[1]
+    if family == "wc":
+        num, den = _wc_terms(shape, x - mu)
+        return np.log(num) - np.log(TWO_PI) - np.log(den)
+    if family in ("vm", "ssvm"):
+        out = shape * np.cos(x - mu) - np.log(TWO_PI) - (math.log(_ive(0, shape)) + shape)
+        if family == "ssvm":
+            factor = 1.0 + params[2] * np.sin(x - mu)
+            with np.errstate(divide="ignore"):
+                out = out + np.where(factor > 0.0, np.log(np.maximum(factor, 1e-300)), -np.inf)
+        return out
+    with np.errstate(divide="ignore"):
+        return np.log(_pdf(family, params, x))
+
+
 def family_pdf(theta: FamilyParams, x):
     """Density of the family at x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    f = theta.family
-    if f == "uniform":
-        out = np.full_like(x, 1.0 / TWO_PI)
-    elif f == "vm":
-        out = _vm_pdf(x, theta.mu, theta.kappa)
-    elif f == "wc":
-        num, den = _wc_terms(theta.rho, x - theta.mu)
-        out = num / (TWO_PI * den)
-    elif f == "ssvm":
-        out = _vm_pdf(x, theta.mu, theta.kappa) * (
-            1.0 + theta.lam * np.sin(x - theta.mu)
-        )
-        out = np.maximum(out, 0.0)
-    elif f == "vm-contam":
-        out = (1.0 - theta.eps) * _vm_pdf(x, theta.mu, theta.kappa) + theta.eps / TWO_PI
-    else:
-        raise AssertionError(f)
+    out = _pdf(theta.family, _free_params(theta), x)
     return out if out.ndim else float(out)
 
 
 def family_logpdf(theta: FamilyParams, x):
     """Log-density; -inf where the density vanishes (ssvm with lambda = +-1)."""
-    x = np.asarray(x, dtype=float)
-    f = theta.family
-    if f == "uniform":
-        out = np.full_like(x, -np.log(TWO_PI))
-    elif f == "wc":
-        num, den = _wc_terms(theta.rho, x - theta.mu)
-        out = np.log(num) - np.log(TWO_PI) - np.log(den)
-    elif f in ("vm", "ssvm"):
-        k = theta.kappa
-        out = k * np.cos(x - theta.mu) - np.log(TWO_PI) - (math.log(_ive(0, k)) + k)
-        if f == "ssvm":
-            factor = 1.0 + theta.lam * np.sin(x - theta.mu)
-            with np.errstate(divide="ignore"):
-                out = out + np.where(factor > 0.0, np.log(np.maximum(factor, 1e-300)), -np.inf)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.log(family_pdf(theta, x))
+    out = _logpdf(theta.family, _free_params(theta), x)
     return out if np.ndim(out) else float(out)
 
 
@@ -267,15 +335,13 @@ def family_cdf(theta: FamilyParams, x):
     k = np.floor(x / TWO_PI)
     x0 = x - TWO_PI * k
     x0 = np.where(x0 >= TWO_PI, x0 - TWO_PI, x0)
-    out = _cdf0(theta, x0) + k
+    out = _cdf0(theta.family, _free_params(theta), x0) + k
     return out if out.ndim else float(out)
 
 
 def family_grid_cdf(theta: FamilyParams, D: int) -> np.ndarray:
     """CDF at the D grid points 2*pi*i/D, i = 1..D, exact up to rounding."""
-    if theta.family == "vm":
-        return _vm_cdf_grid(theta.mu, theta.kappa, D)
-    return _cdf0(theta, TWO_PI * np.arange(1, D + 1) / D, D)
+    return _grid_cdf_kernel(theta.family, D)(_free_params(theta))
 
 
 def _quantile_table(theta: FamilyParams, u: np.ndarray) -> np.ndarray:

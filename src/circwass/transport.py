@@ -17,9 +17,10 @@ from functools import cache
 import numpy as np
 
 from .circular import TWO_PI, CircularSample
-# family_cdf stays importable here: bench/spans.py traces it under this module
+# family_cdf and select_kth stay importable here: bench/spans.py traces them
+# under this module
 from .families import FamilyParams, family_cdf, family_grid_cdf  # noqa: F401
-from .optimize import select_kth
+from .optimize import select_kth  # noqa: F401
 
 __all__ = [
     "GridCdf",
@@ -27,6 +28,11 @@ __all__ = [
     "w1_grid",
     "wp_general",
 ]
+
+
+def _check_non_decreasing(v: np.ndarray) -> None:
+    if (v[1:] - v[:-1] < -1e-12).any():
+        raise ValueError("grid CDF must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,7 @@ class GridCdf:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("grid CDF needs at least 2 points")
-        if np.any(np.diff(v) < -1e-12):
-            raise ValueError("grid CDF must be non-decreasing")
+        _check_non_decreasing(v)
         if abs(v[-1] - 1.0) > 1e-12:
             raise ValueError("grid CDF must end at 1")
         if v[0] < -1e-12 or np.any(v > 1.0 + 1e-12):
@@ -51,6 +56,15 @@ class GridCdf:
     @property
     def D(self) -> int:
         return int(self.values.size)
+
+
+def _grid_values(vals: np.ndarray) -> np.ndarray:
+    """Grid CDF values as grid_cdf_of returns them: the last point set to 1,
+    all clipped into [0, 1], checked non-decreasing."""
+    vals[-1] = 1.0
+    vals = np.clip(vals, 0.0, 1.0)
+    _check_non_decreasing(vals)
+    return vals
 
 
 def grid_cdf_of(source, D: int) -> GridCdf:
@@ -66,8 +80,7 @@ def grid_cdf_of(source, D: int) -> GridCdf:
         vals = family_grid_cdf(source, D)
     else:
         raise TypeError("source must be a CircularSample or FamilyParams")
-    vals[-1] = 1.0
-    return GridCdf(np.clip(vals, 0.0, 1.0))
+    return GridCdf(_grid_values(vals))
 
 
 def _atoms(d) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +133,13 @@ def _wp_equal_weight_arrays(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
 def _canonical_order(a, b):
     # fix the argument order so W_p(a, b) == W_p(b, a) to the last bit
     # (summation order would otherwise differ by an ulp); a and b are
-    # (atoms, weights) pairs, compared lexicographically
+    # (atoms, weights) pairs, compared lexicographically. Their atoms
+    # open both concatenations, so a difference within the shorter atom
+    # list decides without building them.
+    m = min(a[0].size, b[0].size)
+    differ = np.flatnonzero(a[0][:m] != b[0][:m])
+    if differ.size:
+        return (a, b) if a[0][differ[0]] < b[0][differ[0]] else (b, a)
     va, vb = np.concatenate(a), np.concatenate(b)
     m = min(va.size, vb.size)
     differ = np.flatnonzero(va[:m] != vb[:m])
@@ -144,14 +163,19 @@ def _w1_kernel(a, b) -> float:
     return float(np.sum(lengths * np.abs(g - alpha)))
 
 
+def _w1_grid_sum(d: np.ndarray) -> float:
+    """(2*pi/D) * sum |d_i - m| over D grid CDF differences d, with m their
+    lower median, found by numpy's introselect in linear time."""
+    k = (d.size - 1) // 2
+    return float(TWO_PI / d.size * np.sum(np.abs(d - np.partition(d, k)[k])))
+
+
 def w1_grid(q: GridCdf, pm: GridCdf) -> float:
     """W_1 between grid discretizations: (2*pi/D) * sum |d_i - m| with m the
     (lower) median of the CDF differences, found in linear time."""
     if q.D != pm.D:
         raise ValueError("grid sizes must match")
-    d = q.values - pm.values
-    m = select_kth(d, (d.size - 1) // 2)
-    return float(TWO_PI / q.D * np.sum(np.abs(d - m)))
+    return _w1_grid_sum(q.values - pm.values)
 
 
 def wp_general(a, b, p: float) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately implemented from first principles (power
 series, quadrature, exhaustive enumeration) rather than reusing the library
-code it checks.
+code it checks. The one exception, ``w1_grid_composition``, is the public
+composition that the estimator's inner loop must reproduce bit for bit.
 """
 
 import itertools
@@ -115,6 +116,16 @@ def w1_cdf_search(q_cdf, p_cdf, quad_points: int = 512) -> float:
 
     _, val = convex_min_1d(objective, lo, hi, tol=1e-12)
     return val
+
+
+def w1_grid_composition(sample, family: str, vec, D: int) -> float:
+    """The W1 grid objective as the public API composes it, one validated
+    FamilyParams and GridCdf per call: the reference for the estimator's
+    raw-array objective, which must equal it bit for bit."""
+    from circwass import grid_cdf_of, w1_grid
+    from circwass.families import vector_to_params
+
+    return w1_grid(grid_cdf_of(sample, D), grid_cdf_of(vector_to_params(family, vec), D))
 
 
 def cdf_quad(theta, x: float) -> float:

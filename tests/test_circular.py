@@ -131,6 +131,16 @@ class TestDiscreteFromSample:
         assert d.support.tolist() == [np.pi, np.pi]
         assert d.weights.tolist() == [0.5, 0.5]
 
+    def test_sorted_input_kept(self):
+        # sorted support, ties included, comes back as given, in arrays of
+        # the distribution's own: the caller's stay writeable
+        s, w = np.array([1.0, 1.0, 2.0]), np.array([0.5, 0.25, 0.25])
+        d = DiscreteCircularDist(s, w)
+        assert d.support.tolist() == [1.0, 1.0, 2.0]
+        assert d.weights.tolist() == [0.5, 0.25, 0.25]
+        assert s.flags.writeable and w.flags.writeable
+        assert not np.shares_memory(d.support, s) and not np.shares_memory(d.weights, w)
+
     def test_five_distinct(self):
         d = discrete_from_sample(make_sample([0.1, 0.7, 2.0, 3.3, 5.5]))
         assert np.allclose(d.weights, 0.2)

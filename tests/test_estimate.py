@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import optimize
 
 from circwass import (
@@ -21,15 +21,19 @@ from circwass import (
     mle_wrapped_cauchy,
     wasserstein_fit,
 )
-from circwass.circular import TWO_PI
+from circwass import estimate, families
+from circwass.circular import TWO_PI, save_sample
+from circwass.cli import run_cli
 from circwass.estimate import (
     _moment_start, _rotation_profile, _wasserstein_objective, circular_mean_resultant, fit_mle, mle,
 )
-from circwass.families import KAPPA_BOX, RHO_BOX, bessel_ratio, param_box, params_to_vector
+from circwass.families import (
+    FAMILIES, KAPPA_BOX, RHO_BOX, bessel_ratio, free_param_names, param_box, params_to_vector,
+)
 from circwass.harness import estimator_spec_from_name
 from circwass.optimize import BoxConstraints, diff_evolution_min, powell_min
 
-from conftest import bessel_series, loglik
+from conftest import bessel_series, loglik, w1_grid_composition
 
 
 class TestInvertBesselRatio:
@@ -381,6 +385,115 @@ class TestWassersteinFit:
             spec = EstimatorSpec(p=1.0, discretization="grid", de_gens=0, tol=1e-8)
             w_theta = wasserstein_fit(s, family, spec).theta_hat
             assert loglik(mle_theta, s) >= loglik(w_theta, s) - 1e-9
+
+
+# every shape parameter over its whole domain, kappa's box ends drawn often
+_SHAPE = {
+    "kappa": st.one_of(st.sampled_from(KAPPA_BOX), st.floats(*KAPPA_BOX)),
+    "rho": st.floats(0.0, 1.0, exclude_max=True),
+    "lam": st.floats(-1.0, 1.0),
+    "eps": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def _family_vectors(draw):
+    """A family and two of its parameter vectors."""
+    family = draw(st.sampled_from(FAMILIES))
+    names = free_param_names(family)
+
+    def vector():
+        if not names:
+            return np.array([])
+        # mu on several turns either side of [0, 2*pi)
+        mu = draw(st.floats(-4.0 * TWO_PI, 4.0 * TWO_PI))
+        return np.array([mu, *(draw(_SHAPE[name]) for name in names[1:])])
+
+    return family, vector(), vector()
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestRawGridObjective:
+    """The W1 grid objective runs on raw floats and arrays, and must give
+    the public composition's value, or raise its error, bit for bit."""
+
+    _TRUTHS = {
+        "vm": FamilyParams("vm", mu=0.3, kappa=2.0),
+        "wc": FamilyParams("wc", mu=0.4, rho=0.5),
+        "ssvm": FamilyParams("ssvm", mu=0.0, kappa=1.0, lam=0.7),
+        "uniform": FamilyParams("uniform"),
+        "vm-contam": FamilyParams("vm-contam", mu=0.785, kappa=5.0, eps=0.1),
+    }
+
+    @given(
+        _family_vectors(),
+        st.lists(_ANGLE, min_size=1, max_size=40).map(make_sample),
+        # the FFT folds harmonics (np.add.at) when D is at most twice the
+        # series length: 8 at the bottom of KAPPA_BOX, 434 at the top
+        st.one_of(st.integers(2, 40), st.integers(2, 1000)),
+    )
+    @example(("vm", np.array([-7.0, KAPPA_BOX[1]]), np.array([1.0, 2.0])),
+             make_sample([0.0, 1.0, 1.0]), 50)
+    @example(("ssvm", np.array([13.0, KAPPA_BOX[0], -1.0]), np.array([0.0, 400.0, 1.0])),
+             make_sample([6.0]), 1000)
+    @example(("vm-contam", np.array([TWO_PI, KAPPA_BOX[1], 1.0]), np.array([-1.0, 3.0, 0.0])),
+             make_sample([3.0]), 434)
+    def test_bit_identical_to_public_composition(self, family_vecs, sample, D):
+        family, vec, other = family_vecs
+        objective = _wasserstein_objective(sample, family, EstimatorSpec(points=D))
+        # a mu-only step keeps the kappa factor; another shape must replace it
+        moved = vec + np.eye(1, vec.size).ravel() if vec.size else vec
+        for v in (vec, moved, other, vec):
+            want = _outcome(lambda: w1_grid_composition(sample, family, v, D))
+            assert _outcome(lambda: objective(v)) == want
+
+    def test_same_parameter_errors(self):
+        sample = make_sample([0.5, 2.0, 4.0])
+        for family, vec in (
+            ("vm", [0.3, 0.0]), ("vm", [0.3, np.nan]), ("wc", [0.3, 1.0]),
+            ("ssvm", [0.3, 2.0, 1.5]), ("vm-contam", [0.3, 2.0, -0.1]),
+        ):
+            objective = _wasserstein_objective(sample, family, EstimatorSpec())
+            want = _outcome(lambda: w1_grid_composition(sample, family, vec, 3))
+            assert want.startswith("ValueError")
+            assert _outcome(lambda: objective(np.array(vec))) == want
+
+    def test_decreasing_model_cdf_raises(self, monkeypatch):
+        # both paths run the same family kernel, so a von Mises part that
+        # decreases reaches both, and both refuse it alike
+        real = families._vm_cdf_grid
+        monkeypatch.setattr(families, "_vm_cdf_grid", lambda *args: 1.0 - real(*args))
+        sample = family_sample(self._TRUTHS["vm"], 50, 0)
+        for family, vec in (("vm", [0.3, 2.0]), ("ssvm", [0.3, 2.0, 0.5]),
+                            ("vm-contam", [0.3, 2.0, 0.1])):
+            objective = _wasserstein_objective(sample, family, EstimatorSpec())
+            want = "ValueError: grid CDF must be non-decreasing"
+            assert _outcome(lambda: w1_grid_composition(sample, family, vec, 50)) == want
+            assert _outcome(lambda: objective(np.array(vec))) == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fit_json_through_oracle_objective(self, family, monkeypatch, capsys, tmp_path):
+        # the whole fit (DE, both Powell runs, the reported objective and
+        # evaluation count) is the same with the public composition inside
+        path = tmp_path / "x.txt"
+        save_sample(family_sample(self._TRUTHS[family], 120, 5), path)
+        argv = ["fit", "--family", family, "--estimator", "w1", "--data", str(path), "--json"]
+        assert run_cli(argv) == 0
+        package = capsys.readouterr().out
+
+        def oracle_objective(sample, family, spec):
+            D = sample.n if spec.points is None else spec.points
+            return lambda vec: w1_grid_composition(sample, family, vec, D)
+
+        monkeypatch.setattr(estimate, "_wasserstein_objective", oracle_objective)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == package
 
 
 class TestCircularSqError:

@@ -14,7 +14,7 @@ from circwass import (
 )
 from circwass.circular import TWO_PI
 from circwass.families import (
-    RHO_BOX, _ive, _vm_cdf_grid, _vm_fourier_ratios, bessel_ratio, family_grid_cdf,
+    RHO_BOX, _grid_cdf_kernel, _ive, _vm_fourier_ratios, bessel_ratio, family_grid_cdf,
 )
 
 from conftest import bessel_series, cdf_quad, empirical_cdf, scipy_modules_after
@@ -279,9 +279,10 @@ class TestGridCdfFolding:
         for D in range(2 * size - 2, 2 * size + 4):
             if D >= 2:
                 ref = _vm_cdf_grid_folded(1.3, kappa, D)
-                assert np.array_equal(_vm_cdf_grid(1.3, kappa, D), ref)
+                assert np.array_equal(_grid_cdf_kernel("vm", D)((1.3, kappa)), ref)
         for D in (2 * size + 100, 4096):
-            assert np.array_equal(_vm_cdf_grid(4.0, kappa, D), _vm_cdf_grid_folded(4.0, kappa, D))
+            got = _grid_cdf_kernel("vm", D)((4.0, kappa))
+            assert np.array_equal(got, _vm_cdf_grid_folded(4.0, kappa, D))
 
 
 class TestQuantile:
