@@ -51,10 +51,14 @@ class EstimatorSpec:
     ``grid`` discretization is the order-1 CDF-grid objective (requires p=1);
     ``equal-mass`` places equal-weight atoms at the model's midpoint
     quantiles and works for any finite p >= 1; at p = 2 mu is solved exactly
-    and the search runs over the other parameters. ``de_gens > 0`` runs
-    differential evolution, then Powell from its best point and from the
-    sample moments; ``de_gens == 0`` runs Powell from the moments alone.
-    ``tol`` must be finite and positive.
+    and the search runs over the other parameters. A search over two or
+    more parameters is a Nelder-Mead simplex search (``powell_min``); with
+    ``de_gens > 0`` differential evolution runs first, and the simplex
+    search starts from its best point and from the sample moments, while
+    ``de_gens == 0`` starts it from the moments alone. A search over one
+    parameter (the vm and wc W2 fits) is Brent's method from the moments
+    and runs no DE whatever ``de_gens`` says. ``tol`` must be finite and
+    positive.
     """
 
     p: float = 1.0
@@ -197,7 +201,7 @@ def _minimize(objective, box: BoxConstraints, spec: EstimatorSpec, x0: np.ndarra
     if x0.size == 0:  # no free parameters: the fit is the family itself
         return OptimizerReport(x0, float(objective(x0)), 1, True)
     reports = []
-    if spec.de_gens > 0:
+    if spec.de_gens > 0 and box.dim >= 2:
         de = diff_evolution_min(
             objective, box, pop=spec.de_pop, gens=spec.de_gens, seed=spec.seed
         )

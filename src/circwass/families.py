@@ -200,24 +200,18 @@ def _wc_winding(t, rho):
     return k + np.arctan2(c * np.sin(t0 / 2.0), np.cos(t0 / 2.0)) / np.pi
 
 
-def _vm_grid_factor(kappa: float, D: int) -> np.ndarray:
-    """The part -(i/2)*D*r_j/j of the von Mises grid spectrum that depends
-    on kappa and D alone (see _vm_cdf_grid)."""
-    ratios = _vm_fourier_ratios(kappa)
-    return -0.5j * D * ratios / np.arange(1, ratios.size + 1)
-
-
-def _vm_cdf_grid(mu, factor, levels):
+def _vm_cdf_grid(mu, kappa, levels):
     """von Mises CDF at 2*pi*i/D, i = 1..D, by one real inverse FFT, with
-    factor = _vm_grid_factor(kappa, D) and levels = i/D: e^{ijx} has period
-    D in j there, so folding -(i/2)*D*(r_j/j)*e^{-ij*mu} into bins j mod D
-    is exact; irfft takes bin D - b as bin b conjugated, 0 and D/2 once."""
+    levels = i/D: e^{ijx} has period D in j there, so folding
+    -(i/2)*D*(r_j/j)*e^{-ij*mu} into bins j mod D is exact; irfft takes
+    bin D - b as bin b conjugated, 0 and D/2 once."""
     D = levels.size
-    j = np.arange(1, factor.size + 1)
-    coef = factor * np.exp(-1j * j * mu)
+    ratios = _vm_fourier_ratios(kappa)
+    j = np.arange(1, ratios.size + 1)
+    coef = -0.5j * D * ratios / j * np.exp(-1j * j * mu)
     spectrum = np.zeros(D // 2 + 1, dtype=complex)
-    if factor.size < D // 2:  # no harmonic folds: bin j holds coef_j alone
-        spectrum[1 : factor.size + 1] = coef
+    if ratios.size < D // 2:  # no harmonic folds: bin j holds coef_j alone
+        spectrum[1 : ratios.size + 1] = coef
     else:
         b = j % D
         np.add.at(spectrum, np.minimum(b, D - b), np.where(b > D - b, coef.conj(), coef))
@@ -258,17 +252,9 @@ def _cdf0(family: str, params: tuple, x, vm_cdf=None):
 
 def _grid_cdf_kernel(family: str, D: int):
     """cdf(params): the family's CDF at the D grid points 2*pi*i/D,
-    i = 1..D. The kappa-only factor of the von Mises spectrum is kept for
-    the last kappa seen, so a search step that leaves kappa alone skips
-    the ratio recurrence."""
+    i = 1..D."""
     levels = np.arange(1, D + 1) / D
-    last = [None, None]  # kappa, _vm_grid_factor(kappa, D)
-
-    def vm_cdf(mu, kappa):
-        if kappa != last[0]:
-            last[:] = kappa, _vm_grid_factor(kappa, D)
-        return _vm_cdf_grid(mu, last[1], levels)
-
+    vm_cdf = lambda mu, kappa: _vm_cdf_grid(mu, kappa, levels)
     if family == "vm":
         return lambda params: vm_cdf(*params)
     grid = TWO_PI * np.arange(1, D + 1) / D

@@ -53,8 +53,8 @@ def _estimator(name: str):
 
 def estimator_spec_from_name(name: str) -> EstimatorSpec:
     """The sweep's spec of a named estimator; the names are the keys of
-    ``_ESTIMATORS`` (case-insensitive). It runs Powell alone; the sweep adds
-    differential evolution for ssvm."""
+    ``_ESTIMATORS`` (case-insensitive). It runs the local search alone; the
+    sweep adds differential evolution for ssvm."""
     # tol 1e-6 keeps desk-scale sweeps fast; Monte Carlo noise dominates it
     return EstimatorSpec(**(_estimator(name)[1] or {}), de_gens=0, tol=1e-6)
 

@@ -1,10 +1,10 @@
 """Selection and derivative-free minimization over a parameter box.
 
 ``select_kth`` is numpy's introselect. ``powell_min`` and
-``diff_evolution_min`` adapt scipy's Powell method (Brent's in one
-dimension) and rand/1/bin differential evolution to ``BoxConstraints``,
-whose periodic dimensions wrap. scipy.optimize is imported inside them,
-so ``import circwass`` does not load it.
+``diff_evolution_min`` adapt scipy's Nelder-Mead simplex search (Brent's
+method in one dimension) and rand/1/bin differential evolution to
+``BoxConstraints``, whose periodic dimensions wrap. scipy.optimize is
+imported inside them, so ``import circwass`` does not load it.
 """
 
 from dataclasses import dataclass
@@ -79,22 +79,29 @@ def powell_min(
     x0,
     box: BoxConstraints,
     tol: float = 1e-10,
-    max_iter: int = 100,
+    max_iter: int = 200,
 ) -> OptimizerReport:
-    """scipy's bounded Powell method from x0, or in one dimension scipy's
-    Brent search; returns the best point evaluated.
+    """scipy's Nelder-Mead simplex search from x0, bounded to the box, or
+    in one dimension scipy's Brent search; returns the best point evaluated.
+    (The name is kept from the Powell method the simplex search replaced.)
+
+    The simplex search runs on z, where theta = x0 + step*z. step is 0.1
+    on a periodic coordinate, so a search in mu does not depend on where mu
+    lies, and 0.1*max(|x0|, 1e-2*span) on the others, as in one dimension.
+    It stops after max_iter*dim iterations in all (scipy's own cap at the
+    default max_iter) with converged=False.
 
     Every point is clipped to the box before f sees it. A periodic
-    coordinate is bounded to one turn centred on x0, and f must wrap it:
-    unbounded, the line searches run over many turns. x0 is evaluated first,
-    and the best point seen is returned, never one above f(x0). Hitting
-    max_iter yields converged=False.
+    coordinate is searched over one turn centred on x0 in one dimension and
+    unbounded otherwise, and f must wrap it. x0 is evaluated first, and the
+    best point seen is returned, never one above f(x0).
     """
     x = box.project(np.asarray(x0, dtype=float))
     if x.size != box.dim:
         raise ValueError("x0 dimension does not match box")
-    lower = np.where(box.periodic, x - np.pi, box.lower)
-    upper = np.where(box.periodic, x + np.pi, box.upper)
+    turn = np.pi if box.dim == 1 else np.inf
+    lower = np.where(box.periodic, x - turn, box.lower)
+    upper = np.where(box.periodic, x + turn, box.upper)
     seen = []  # (value, point) of every evaluation
 
     def fc(y):
@@ -105,15 +112,52 @@ def powell_min(
     if box.dim == 1:
         converged = _brent_min(fc, x[0], lower[0], upper[0], tol, max_iter)
     else:
-        from scipy.optimize import minimize
-
-        res = minimize(
-            fc, x, method="Powell", bounds=list(zip(lower, upper)),
-            options={"xtol": max(tol * 1e-2, 1e-12), "ftol": tol, "maxiter": max_iter},
-        )
-        converged = bool(res.success)
+        span = box.upper - box.lower
+        step = np.where(box.periodic, 0.1, 0.1 * np.maximum(np.abs(x), 1e-2 * span))
+        converged = _simplex_min(fc, x, step, lower, upper, tol, max_iter * box.dim)
     value, argmin = min(seen, key=lambda vx: vx[0])
     return OptimizerReport(box.project(argmin), value, len(seen), converged)
+
+
+def _simplex_min(fc, x, step, lower, upper, tol: float, max_iter: int) -> bool:
+    """scipy's bounded Nelder-Mead search of fc from x over x + step*z,
+    from the simplex {0, +-e_i} (a step that would leave the box is taken
+    the other way); whether it converged.
+
+    A run stops when the simplex spans at most tol in z and its values
+    differ by at most tol*|f(x)|. On a nonsmooth f the simplex can collapse
+    away from any minimum: on sum_i w_i*|x_i - c_i| a lone run stopped
+    away from c from about a fifth of random starts. So a stop is checked
+    by polling x +- sqrt(tol)*step_i*e_i, and a poll point lower by more
+    than the value tolerance starts a new run there.
+    """
+    from scipy.optimize import minimize
+
+    fx = fc(x)
+    fatol = tol * (abs(fx) if 0.0 < abs(fx) < np.inf else 1.0)
+    polls = np.sqrt(tol) * np.vstack([np.diag(step), -np.diag(step)])
+    while max_iter > 0:
+        # the simplex's first vertex is x itself, already evaluated
+        fz = lambda z, x=x, fx=fx: fx if not z.any() else fc(x + step * z)
+        sign = np.where(x + step > upper, -1.0, 1.0)
+        res = minimize(
+            fz, np.zeros(x.size), method="Nelder-Mead",
+            bounds=list(zip((lower - x) / step, (upper - x) / step)),
+            options={
+                "initial_simplex": np.vstack([np.zeros(x.size), np.diag(sign)]),
+                "xatol": tol, "fatol": fatol, "maxiter": max_iter,
+            },
+        )
+        if not res.success:
+            return False
+        max_iter -= res.nit
+        x, fx = np.clip(x + step * res.x, lower, upper), res.fun
+        values = [fc(x + d) for d in polls]
+        j = int(np.argmin(values))
+        if values[j] >= fx - fatol:
+            return True
+        x, fx = np.clip(x + polls[j], lower, upper), values[j]
+    return False
 
 
 def _brent_min(fc, x: float, lo: float, hi: float, tol: float, max_iter: int) -> bool:

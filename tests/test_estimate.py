@@ -199,6 +199,14 @@ class TestMleSsvm:
         assert circ_dist(r2.theta_hat.mu, r1.theta_hat.mu + delta) <= 1e-3
         assert r2.theta_hat.lam == pytest.approx(r1.theta_hat.lam, abs=1e-3)
 
+    def test_leaves_lambda_zero_without_de(self):
+        # the moment start, lambda = 0 at the von Mises MLE, is a stationary
+        # point of the likelihood and a minimum along each coordinate alone
+        s = family_sample(FamilyParams("ssvm", mu=0.0, kappa=1.0, lam=0.7), 300, 3)
+        res = mle_ssvm(s, EstimatorSpec(de_gens=0))
+        assert res.theta_hat.lam == pytest.approx(0.7653, abs=1e-3)
+        assert res.objective <= 1.511320
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             mle_ssvm(make_sample([0.1, 0.2, 0.3]))
@@ -289,7 +297,7 @@ class TestWassersteinFit:
     )
     def test_w2_rotation_equivariance(self, truth, phi):
         # the atoms rotate with mu and mu is solved exactly, so a rotated
-        # sample gives the rotated fit; only the 2-D Powell searches of ssvm
+        # sample gives the rotated fit; only the 2-D simplex searches of ssvm
         # and vm-contam drift, by rounding, within their tolerance
         s = family_sample(truth, 200, 30)
         spec = EstimatorSpec(p=2.0, discretization="equal-mass", de_gens=0, tol=1e-12)
@@ -311,7 +319,7 @@ class TestWassersteinFit:
         ids=("vm-k2", "vm-k400", "wc"),
     )
     def test_w2_not_above_joint_powell(self, truth):
-        # solving mu exactly ends at or below Powell over (mu, shape) on the
+        # solving mu exactly ends at or below powell_min over (mu, shape) on the
         # same objective, from the same start, with the sweep's tolerance
         spec = estimator_spec_from_name("w2")
         box = BoxConstraints(*param_box(truth.family))
@@ -324,6 +332,30 @@ class TestWassersteinFit:
             )
             assert res.objective <= joint.value * (1.0 + 1e-9)
             assert res.evaluations < joint.evaluations
+
+    @pytest.mark.parametrize(
+        "truth", (FamilyParams("vm", mu=0.3, kappa=2.0), FamilyParams("wc", mu=np.pi / 8, rho=0.4)),
+        ids=lambda t: t.family,
+    )
+    def test_w2_one_dimensional_search_runs_no_de(self, truth):
+        # the W2 search over kappa or rho alone is Brent's, with or without de_gens
+        s = family_sample(truth, 1000, 0)
+        default = wasserstein_fit(s, truth.family, EstimatorSpec(p=2.0, discretization="equal-mass"))
+        alone = wasserstein_fit(
+            s, truth.family, EstimatorSpec(p=2.0, discretization="equal-mass", de_gens=0)
+        )
+        assert default == alone
+        assert default.evaluations < 100
+
+    def test_local_search_not_above_de_at_kappa_400(self):
+        # the simplex search from the moments alone ends at or below DE
+        # followed by it; a coordinate search stopped 0.2-1.6 % above
+        truth = FamilyParams("vm", mu=0.3, kappa=400.0)
+        for seed in range(4):
+            s = family_sample(truth, 300, seed)
+            alone = wasserstein_fit(s, "vm", EstimatorSpec(de_gens=0, tol=1e-10))
+            with_de = wasserstein_fit(s, "vm", EstimatorSpec(de_gens=60, tol=1e-10))
+            assert alone.objective <= with_de.objective * (1.0 + 1e-9)
 
     def test_equal_mass_points_must_match_n(self):
         s = family_sample(FamilyParams("vm", mu=0.0, kappa=1.0), 50, 17)
@@ -447,7 +479,7 @@ class TestRawGridObjective:
     def test_bit_identical_to_public_composition(self, family_vecs, sample, D):
         family, vec, other = family_vecs
         objective = _wasserstein_objective(sample, family, EstimatorSpec(points=D))
-        # a mu-only step keeps the kappa factor; another shape must replace it
+        # the value depends on the vector alone, not on the calls before it
         moved = vec + np.eye(1, vec.size).ravel() if vec.size else vec
         for v in (vec, moved, other, vec):
             want = _outcome(lambda: w1_grid_composition(sample, family, v, D))
@@ -479,7 +511,7 @@ class TestRawGridObjective:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_fit_json_through_oracle_objective(self, family, monkeypatch, capsys, tmp_path):
-        # the whole fit (DE, both Powell runs, the reported objective and
+        # the whole fit (DE, both local searches, the reported objective and
         # evaluation count) is the same with the public composition inside
         path = tmp_path / "x.txt"
         save_sample(family_sample(self._TRUTHS[family], 120, 5), path)

@@ -186,7 +186,7 @@ class TestRunExperiment:
 
 
 class TestSweepPolicy:
-    # Powell alone, or differential evolution first where the family needs it
+    # the local search alone, or differential evolution first where the family needs it
     @pytest.mark.parametrize(
         "theta0,de_pop,de_gens",
         (

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from circwass import (
     BoxConstraints,
@@ -173,9 +174,37 @@ class TestPowell:
         rep = powell_min(lambda x: float((x[0] + 20.0) ** 2), np.zeros(1), _plain_box(1), tol=1e-10)
         assert rep.argmin[0] == pytest.approx(-10.0, abs=1e-6)
 
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d),
+                st.floats(0.0, TWO_PI, exclude_max=True),
+                st.lists(st.floats(-1.5, 1.5), min_size=d - 1, max_size=d - 1),
+                st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),
+            )
+        )
+    )
+    def test_nonsmooth_weighted_l1(self, case):
+        # sum_i w_i*|x_i - c_i|, the shape of W1, with a periodic first
+        # coordinate; a c_i beyond +-1 puts the minimizer on a face
+        w, c0, c, u = (np.asarray(v, dtype=float) for v in case)
+        d = w.size
+        box = BoxConstraints(
+            np.r_[0.0, -np.ones(d - 1)], np.r_[TWO_PI, np.ones(d - 1)], np.arange(d) == 0
+        )
+        f = lambda x: float(w[0] * circ_dist(x[0], c0) + w[1:] @ np.abs(x[1:] - c))
+        x0 = box.lower + u * (box.upper - box.lower)
+        tol = 1e-10
+        rep = powell_min(f, x0, box, tol=tol)
+        assert np.all((box.lower <= rep.argmin) & (rep.argmin <= box.upper))
+        assert rep.value <= f(x0) and rep.value == f(rep.argmin)
+        if rep.converged:  # a search cut at the iteration cap promises no distance
+            off = np.r_[circ_dist(rep.argmin[0], c0), np.abs(rep.argmin[1:] - np.clip(c, -1.0, 1.0))]
+            assert np.max(off) <= np.sqrt(tol)
+
 
 class TestPowellOneDim:
-    # one dimension runs Brent's method instead of Powell's
+    # one dimension runs Brent's method instead of the simplex search
 
     def test_honours_tol(self):
         # the bounded scalar method stalls at a step of sqrt(eps)*|x| ~ 1e-8
