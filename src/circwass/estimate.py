@@ -26,9 +26,9 @@ from .transport import (
     _check_p,
     _grid_values,
     _w1_grid_sum,
-    _wp_equal_weight_arrays,
     grid_cdf_of,
     w1_grid,  # noqa: F401  (bench/spans.py traces it under this module)
+    wp_general,
 )
 
 __all__ = [
@@ -50,7 +50,7 @@ class EstimatorSpec:
 
     ``grid`` discretization is the order-1 CDF-grid objective (requires p=1);
     ``equal-mass`` places equal-weight atoms at the model's midpoint
-    quantiles and works for any finite p >= 1; at p = 2 mu is solved exactly
+    quantiles and works for any p in [1, 1000]; at p = 2 mu is solved exactly
     and the search runs over the other parameters. A search over two or
     more parameters is a Nelder-Mead simplex search (``powell_min``); with
     ``de_gens > 0`` differential evolution runs first, and the simplex
@@ -317,12 +317,11 @@ def _wasserstein_objective(sample: CircularSample, family: str, spec: EstimatorS
 
     else:
         m = _equal_mass_points(sample, spec)
-        xa = sample.angles
 
         def objective(vec):
             theta = vector_to_params(family, vec)
             atoms = np.sort(normalize_angle(theta.mu + _base_atoms(theta, m)))
-            return _wp_equal_weight_arrays(xa, atoms, spec.p)
+            return wp_general(sample, CircularSample(atoms), spec.p)
 
     return objective
 

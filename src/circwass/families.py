@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import TWO_PI, CircularSample, make_sample, normalize_angle
+from .circular import TWO_PI, CircularSample, make_sample
 
 __all__ = [
     "FamilyParams",
@@ -53,14 +53,42 @@ _PARAMS = {
 }
 FAMILIES = tuple(_PARAMS)
 
-# attribute -> the name of the parameter in CLI flags, configs, sweeps and JSON
-PARAM_NAMES = {"mu": "mu", "kappa": "kappa", "rho": "rho", "lam": "lambda", "eps": "epsilon"}
-
 # parameter boxes used by the optimizers; clamps keep likelihood and Fisher finite
 KAPPA_BOX = (1e-3, 500.0)
 RHO_BOX = (0.0, 1.0 - 1e-6)
 LAMBDA_BOX = (-1.0 + 1e-9, 1.0 - 1e-9)
 EPSILON_BOX = (0.0, 1.0)
+
+# attribute -> (its name in CLI flags, configs, sweeps and JSON; its fitting
+# box; its domain test and the error a value outside the domain raises).
+# mu has no domain: it is wrapped into its periodic box.
+_PARAM_TABLE = {
+    "mu": ("mu", (0.0, TWO_PI), None, None),
+    "kappa": ("kappa", KAPPA_BOX, lambda v: v > 0.0, "kappa must be positive"),
+    "rho": ("rho", RHO_BOX, lambda v: 0.0 <= v < 1.0, "rho must lie in [0, 1)"),
+    "lam": ("lambda", LAMBDA_BOX, lambda v: -1.0 <= v <= 1.0, "lambda must lie in [-1, 1]"),
+    "eps": ("epsilon", EPSILON_BOX, lambda v: 0.0 <= v <= 1.0, "epsilon must lie in [0, 1]"),
+}
+PARAM_NAMES = {attr: row[0] for attr, row in _PARAM_TABLE.items()}
+
+
+def _param_floats(family: str, vec) -> tuple:
+    """A mu-first parameter vector as the floats FamilyParams holds: mu
+    wrapped into [0, 2*pi) as normalize_angle does, in scalar arithmetic
+    (no numpy call per objective evaluation), and each shape parameter
+    checked against its domain. An empty vector is the uniform family's."""
+    if len(vec) == 0:
+        return ()
+    mu = float(vec[0])
+    mu -= TWO_PI * float(np.floor(mu / TWO_PI))
+    if mu >= TWO_PI:  # floor rounding can leave exactly 2*pi
+        mu -= TWO_PI
+    shape = tuple(float(v) for v in vec[1:])
+    for name, v in zip(_PARAMS[family][1:], shape):
+        _, _, inside, message = _PARAM_TABLE[name]
+        if not inside(v):
+            raise ValueError(message)
+    return (mu, *shape)
 
 
 @dataclass(frozen=True)
@@ -77,49 +105,15 @@ class FamilyParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "mu", float(normalize_angle(self.mu)))
-        for name in ("kappa", "rho", "lam", "eps"):
-            val = getattr(self, name)
-            if name in _PARAMS[self.family]:
-                if val is None:
-                    raise ValueError(f"{self.family} requires parameter {name}")
-                object.__setattr__(self, name, float(val))
-            elif val is not None:
+        names = _PARAMS[self.family] or ("mu",)  # uniform keeps its mu
+        for name in tuple(_PARAM_TABLE)[1:]:
+            if name in names and getattr(self, name) is None:
+                raise ValueError(f"{self.family} requires parameter {name}")
+            if name not in names and getattr(self, name) is not None:
                 raise ValueError(f"{self.family} does not take parameter {name}")
-        for name in _PARAMS[self.family][1:]:
-            _check_domain(name, getattr(self, name))
-
-
-# the domain of each shape parameter, and the error a value outside it raises
-_DOMAINS = {
-    "kappa": (lambda v: v > 0.0, "kappa must be positive"),
-    "rho": (lambda v: 0.0 <= v < 1.0, "rho must lie in [0, 1)"),
-    "lam": (lambda v: -1.0 <= v <= 1.0, "lambda must lie in [-1, 1]"),
-    "eps": (lambda v: 0.0 <= v <= 1.0, "epsilon must lie in [0, 1]"),
-}
-
-
-def _check_domain(name: str, value: float) -> None:
-    inside, message = _DOMAINS[name]
-    if not inside(value):
-        raise ValueError(message)
-
-
-def _param_floats(family: str, vec) -> tuple:
-    """A parameter vector as the floats FamilyParams would hold, in vector
-    order: mu wrapped into [0, 2*pi) as normalize_angle does, each shape
-    parameter checked against its domain with FamilyParams's error."""
-    names = _PARAMS[family]
-    if not names:
-        return ()
-    mu = float(vec[0])
-    mu -= TWO_PI * float(np.floor(mu / TWO_PI))
-    if mu >= TWO_PI:  # floor rounding can leave exactly 2*pi
-        mu -= TWO_PI
-    shape = tuple(float(v) for v in vec[1:])
-    for name, v in zip(names[1:], shape):
-        _check_domain(name, v)
-    return (mu, *shape)
+        values = _param_floats(self.family, [getattr(self, p) for p in names])
+        for name, v in zip(names, values):
+            object.__setattr__(self, name, v)
 
 
 def _free_params(theta: FamilyParams) -> tuple:
@@ -466,7 +460,7 @@ def free_param_names(family: str) -> tuple[str, ...]:
 
 
 def params_to_vector(theta: FamilyParams) -> np.ndarray:
-    return np.array([getattr(theta, p) for p in free_param_names(theta.family)])
+    return np.array(_free_params(theta))
 
 
 def vector_to_params(family: str, vec) -> FamilyParams:
@@ -477,15 +471,8 @@ def vector_to_params(family: str, vec) -> FamilyParams:
 
 def param_box(family: str):
     """(lower, upper, periodic) arrays for the family's free parameters."""
-    boxes = {
-        "mu": (0.0, TWO_PI, True),
-        "kappa": (*KAPPA_BOX, False),
-        "rho": (*RHO_BOX, False),
-        "lam": (*LAMBDA_BOX, False),
-        "eps": (*EPSILON_BOX, False),
-    }
-    rows = [boxes[p] for p in free_param_names(family)]
-    lower = np.array([r[0] for r in rows])
-    upper = np.array([r[1] for r in rows])
-    periodic = np.array([r[2] for r in rows], dtype=bool)
-    return lower, upper, periodic
+    names = free_param_names(family)
+    boxes = [_PARAM_TABLE[p][1] for p in names]
+    lower = np.array([lo for lo, _ in boxes])
+    upper = np.array([hi for _, hi in boxes])
+    return lower, upper, np.array([p == "mu" for p in names], dtype=bool)

@@ -6,9 +6,11 @@ merged breakpoints of both CDFs, for any sizes, weights and ties. For
 p > 1, equal sizes with equal weights search the cyclic shifts of a sorted
 matching (each one slice of the atoms laid over three turns); other weights
 bisect the kinks of the exact CDF-offset objective on the sign of its slope.
-p must be finite and at least 1: for the concave costs of p < 1 a sorted
-matching need not be optimal. The order-1 grid formula uses a linear-time
-median and ``family_grid_cdf`` (real FFT). Nothing here imports scipy.
+p must lie in [1, 1000]: for the concave costs of p < 1 a sorted
+matching need not be optimal. Distances are divided by their largest
+before the power, so no power overflows at any p. The order-1 grid formula
+uses a linear-time median and ``family_grid_cdf`` (real FFT). Nothing here
+imports scipy.
 """
 
 from dataclasses import dataclass
@@ -92,19 +94,32 @@ def _atoms(d) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_p(p: float) -> None:
-    if not 1.0 <= p < np.inf:
-        raise ValueError("p must be finite and >= 1")
+    # the shift search compares the p-th roots of its costs; roots that round
+    # equal can hide a cost ratio of (1 + 2.2e-16)^p, so the convex search
+    # over n shifts is sound only while n * p * 2.2e-16 << 1 (at p = 1e300
+    # five zeros read 2*pi from themselves)
+    if not 1.0 <= p <= 1000.0:
+        raise ValueError("p must be between 1 and 1000")
+
+
+def _scaled_root(d: np.ndarray, w, p: float) -> float:
+    """(sum of w * d^p)^(1/p) for distances d >= 0, with d divided by its
+    largest before the power, so that no power overflows, and none that
+    matters underflows, at any p."""
+    s = float(d.max()) or 1.0
+    return s * float(np.sum(w * (d / s) ** p)) ** (1.0 / p)
 
 
 def _shift_costs(xa: np.ndarray, xb: np.ndarray, p: float):
-    """Memoized cost of cyclic shift k, mean |xa[i] - xb[i + k]|^p (np.mean's
-    sum and division), xb wound by a turn where i + k leaves [0, n)."""
+    """Memoized W_p of cyclic shift k, (mean |xa[i] - xb[i + k]|^p)^(1/p),
+    xb wound by a turn where i + k leaves [0, n); the p-th root keeps the
+    order of the costs."""
     n = xa.size
     tripled = np.concatenate([xb - TWO_PI, xb, xb + TWO_PI])
 
     @cache
     def cost(k: int) -> float:
-        return float(np.add.reduce(np.abs(xa - tripled[n + k : 2 * n + k]) ** p)) / n
+        return _scaled_root(np.abs(xa - tripled[n + k : 2 * n + k]), 1.0 / n, p)
 
     return cost
 
@@ -127,7 +142,24 @@ def _wp_equal_weight_arrays(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
             k_hat = k
     if not (cost(k_hat) <= cost(max(k_hat - 1, -n)) and cost(k_hat) <= cost(min(k_hat + 1, n))):
         k_hat = min(range(-n, n + 1), key=cost)  # convexity failed near ties
-    return cost(k_hat) ** (1.0 / p)
+    return cost(k_hat)
+
+
+# cuts in quantile level closer than this are one cut: summing weights
+# rounds, and at large p a rounding sliver of mass 1e-16 between two cuts
+# that coincide exactly would weigh in as 1e-16^(1/p) of its distance
+_CUT_TOL = 1e-13
+
+
+def _cumulative(w: np.ndarray) -> np.ndarray:
+    """Cumulative weights ending at exactly 1. Equal weights give the
+    correctly rounded k/n, so levels that coincide exactly (1/3 and 3/9)
+    stay equal."""
+    if np.all(w == w[0]):
+        return np.arange(1, w.size + 1) / w.size
+    c = np.cumsum(w)
+    c[-1] = 1.0
+    return c
 
 
 def _canonical_order(a, b):
@@ -194,28 +226,31 @@ def wp_general(a, b, p: float) -> float:
     (xa, wa), (xb, wb) = _canonical_order(_atoms(a), _atoms(b))
     if xa.size == xb.size and np.all(wa == wa[0]) and np.all(wb == wa[0]):
         return _wp_equal_weight_arrays(xa, xb, p)
-    ca, cb = np.cumsum(wa), np.cumsum(wb)
-    ca[-1] = cb[-1] = 1.0
+    ca, cb = _cumulative(wa), _cumulative(wb)
     turns = np.arange(-2.0, 3.0)[:, None]
     # Qb^{-1}, extended by winding, is atoms[k] on (jumps[k - 1], jumps[k]]
     jumps = (cb + turns).ravel()
     atoms = np.append(xb + TWO_PI * turns, xb[0] + 3.0 * TWO_PI)
 
     def integral(alpha):
-        # exact integral over u of |Qa^{-1}(u) - Qb^{-1}(u + alpha)|^p: both
-        # quantiles are constant between the cuts
+        # p-th root of the exact integral over u of
+        # |Qa^{-1}(u) - Qb^{-1}(u + alpha)|^p: both quantiles are constant
+        # between the cuts
         u = np.concatenate([[0.0, 1.0], ca[:-1], jumps - alpha])
         u = np.unique(u[(u >= 0.0) & (u <= 1.0)])
+        u = u[np.append(np.diff(u) > _CUT_TOL, True)]  # the last cut of each cluster
         mid = 0.5 * (u[:-1] + u[1:])
-        diff = xa[np.searchsorted(ca, mid)] - atoms[np.searchsorted(jumps, mid + alpha)]
-        return float(np.sum(np.diff(u) * np.abs(diff) ** p))
+        diff = np.abs(xa[np.searchsorted(ca, mid)] - atoms[np.searchsorted(jumps, mid + alpha)])
+        return _scaled_root(diff, np.diff(u), p)
 
     def slope(alpha):
         # right derivative: raising alpha moves the cell just left of u = c - alpha,
         # c a jump in (alpha, alpha + 1], from the atom below c to the one above
-        k0, k1 = np.searchsorted(jumps, [alpha, alpha + 1.0], side="right")
-        x = xa[np.minimum(np.searchsorted(ca, jumps[k0:k1] - alpha), ca.size - 1)]
-        return np.sum(np.abs(x - atoms[k0 + 1 : k1 + 1]) ** p - np.abs(x - atoms[k0:k1]) ** p)
+        k0, k1 = np.searchsorted(jumps, [alpha + _CUT_TOL, alpha + 1.0 + _CUT_TOL], side="right")
+        x = xa[np.minimum(np.searchsorted(ca, jumps[k0:k1] - alpha - _CUT_TOL), ca.size - 1)]
+        above, below = np.abs(x - atoms[k0 + 1 : k1 + 1]), np.abs(x - atoms[k0:k1])
+        s = float(max(above.max(), below.max())) or 1.0  # a positive factor keeps the sign
+        return np.sum((above / s) ** p - (below / s) ** p)
 
     # the slope is < 0 at -1.5, where each atom of a lies above the atoms of b
     # it meets, and > 0 at 1.5, where it lies below them
@@ -233,4 +268,4 @@ def wp_general(a, b, p: float) -> float:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if slope(kinks[mid]) < 0.0 else (lo, mid)
-    return min(integral(kinks[lo]), integral(kinks[hi])) ** (1.0 / p)
+    return min(integral(kinks[lo]), integral(kinks[hi]))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circwass
 from circwass import (
@@ -140,7 +144,7 @@ for p in ("1", "1.5", "2"):
         assert code == 1
         assert "invalid choice" in err
 
-    @pytest.mark.parametrize("p", ("0.5", "-1", "nan", "inf"))
+    @pytest.mark.parametrize("p", ("0.5", "-1", "nan", "inf", "1e300"))
     def test_p_outside_range(self, capsys, tmp_path, p):
         a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
         a.write_text("0.1\n2.0\n4.0\n")
@@ -169,6 +173,62 @@ for p in ("1", "1.5", "2"):
         assert code == 2
         assert out == ""
         assert "could not convert" in err
+
+
+# angles as a dist file holds them: whole degrees (ties within and across
+# files), the ends of [0, 2*pi), and anything in between
+_file_angle = st.one_of(
+    st.integers(0, 359).map(lambda d: d * 2.0 * np.pi / 360.0),
+    st.sampled_from((0.0, float(np.nextafter(2.0 * np.pi, 0.0)))),
+    st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+)
+
+
+@st.composite
+def _dist_files(draw):
+    """Two angle lists of 1 to 50 entries, of equal sizes or not; either may
+    repeat one angle throughout."""
+    def one(size=None):
+        n = size or draw(st.integers(1, 50))
+        if draw(st.booleans()):
+            return [draw(_file_angle)] * n
+        return draw(st.lists(_file_angle, min_size=n, max_size=n))
+
+    a = one()
+    return a, one(len(a) if draw(st.booleans()) else None)
+
+
+class TestDistFuzz:
+    """Every p the CLI accepts gives a finite, symmetric W_p within the
+    circle's diameter pi; a p above 1000 is refused with one error line."""
+
+    @given(_dist_files())
+    @settings(max_examples=80)
+    def test_dist_outputs(self, tmp_path_factory, files):
+        folder = tmp_path_factory.mktemp("dist")
+        a, b = (str(folder / name) for name in ("a.txt", "b.txt"))
+        for path, angles in zip((a, b), files):
+            Path(path).write_text("".join(f"{v!r}\n" for v in angles))
+
+        def dist(x, y, p):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(["dist", x, y, "--p", repr(p)])
+            if p > 1000.0:
+                assert (code, out.getvalue()) == (2, "")
+                assert err.getvalue().startswith("error: p must be")
+                assert err.getvalue().count("\n") == 1
+                return None
+            assert code == 0, err.getvalue()
+            return float(out.getvalue())
+
+        for p in (1.0, 1.5, 2.0, 3.0, 50.0, 800.0, 1e300):
+            w = dist(a, b, p)
+            if w is None:
+                continue
+            assert np.isfinite(w) and 0.0 <= w <= np.pi + 1e-12
+            assert dist(b, a, p) == w
+            assert dist(a, a, p) <= 1e-15
 
 
 class TestFit:

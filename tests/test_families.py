@@ -12,9 +12,10 @@ from circwass import (
     family_quantile,
     family_sample,
 )
-from circwass.circular import TWO_PI
+from circwass.circular import TWO_PI, normalize_angle
 from circwass.families import (
-    RHO_BOX, _grid_cdf_kernel, _ive, _vm_fourier_ratios, bessel_ratio, family_grid_cdf,
+    RHO_BOX, _grid_cdf_kernel, _ive, _param_floats, _vm_fourier_ratios, bessel_ratio,
+    family_grid_cdf, free_param_names,
 )
 
 from conftest import bessel_series, cdf_quad, empirical_cdf, scipy_modules_after
@@ -84,6 +85,40 @@ class TestFamilyParams:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             FamilyParams("cardioid")
+
+    @pytest.mark.parametrize("mu", (-0.0, -1e-300, np.nextafter(TWO_PI, 0.0), TWO_PI, 7.0))
+    def test_mu_wrap_is_normalize_angle(self, mu):
+        # the objectives' scalar wrap, which FamilyParams shares, matches
+        # normalize_angle to the bit, the sign of zero included
+        for family, shape in (("vm", {"kappa": 1.0}), ("uniform", {})):
+            theta = FamilyParams(family, mu=mu, **shape)
+            assert repr(theta.mu) == repr(normalize_angle(mu))
+            assert _param_floats(family, (mu, *shape.values()))[:1] == (theta.mu,)
+
+    @pytest.mark.parametrize("family, vec, error", [
+        ("vm", (1.0, 5e-324), None),
+        ("vm", (1.0, 0.0), "kappa must be positive"),
+        ("wc", (1.0, 0.0), None),
+        ("wc", (1.0, np.nextafter(1.0, 0.0)), None),
+        ("wc", (1.0, 1.0), r"rho must lie in \[0, 1\)"),
+        ("ssvm", (1.0, 2.0, -1.0), None),
+        ("ssvm", (1.0, 2.0, 1.0), None),
+        ("ssvm", (1.0, 2.0, np.nextafter(1.0, 2.0)), r"lambda must lie in \[-1, 1\]"),
+        ("vm-contam", (1.0, 2.0, 0.0), None),
+        ("vm-contam", (1.0, 2.0, 1.0), None),
+        ("vm-contam", (1.0, 2.0, -5e-324), r"epsilon must lie in \[0, 1\]"),
+    ])
+    def test_domain_edges(self, family, vec, error):
+        # FamilyParams holds exactly the objectives' floats, or raises their error
+        names = free_param_names(family)
+        if error is None:
+            theta = FamilyParams(family, **dict(zip(names, vec)))
+            assert tuple(getattr(theta, p) for p in names) == _param_floats(family, vec)
+            return
+        for build in (lambda: FamilyParams(family, **dict(zip(names, vec))),
+                      lambda: _param_floats(family, vec)):
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                build()
 
 
 def _scipy_ive(nu, kappa):

@@ -58,7 +58,8 @@ def naive_shift_cost(xa, xb, k, p):
 
 
 class TestShiftCost:
-    """The cyclic-matching cost that the p > 1 equal-weight search minimizes."""
+    """The W_p of one cyclic matching, which the p > 1 equal-weight search
+    minimizes."""
 
     def test_identity(self):
         a, _ = random_discrete_pair(np.random.default_rng(30), 8)
@@ -67,7 +68,7 @@ class TestShiftCost:
     def test_single_atoms(self):
         for p in (1.0, 2.0):
             cost = _shift_costs(np.array([0.0]), np.array([np.pi / 2]), p)(0)
-            assert cost == pytest.approx((np.pi / 2) ** p)
+            assert cost == pytest.approx(np.pi / 2)
 
     def test_naive_oracle(self):
         rng = np.random.default_rng(31)
@@ -76,7 +77,7 @@ class TestShiftCost:
             cost = _shift_costs(a.support, b.support, p)
             for k in (-6, -5, -2, 0, 2, 5, 6):
                 assert cost(k) == pytest.approx(
-                    naive_shift_cost(a.support, b.support, k, p), abs=1e-13
+                    naive_shift_cost(a.support, b.support, k, p) ** (1.0 / p), abs=1e-13
                 )
 
 
@@ -398,6 +399,21 @@ class TestWpGeneral:
         for alpha in np.linspace(-1.0, 1.0, 41):
             assert val**2 <= offset_integral(a, b, alpha, 2.0) + 1e-12
 
+    @pytest.mark.parametrize("p", (3.0, 50.0, 800.0, 1000.0))
+    @pytest.mark.parametrize("split", (False, True), ids=("equal-sizes", "unequal-sizes"))
+    def test_large_p(self, p, split):
+        # three atoms moved by delta, or each split into three atoms delta
+        # apart, so that 2/3 of the mass moves delta. Raised to p = 800
+        # unscaled, these distances underflow and those of other shifts and
+        # offsets overflow; the levels 1/3 and 3/9 coincide, and a rounding
+        # sliver between them read W_50 = 0.91
+        base, delta = np.array([0.5, 2.5, 4.5]), 0.1
+        if split:
+            b, want = np.concatenate([base - delta, base, base + delta]), delta * (2 / 3) ** (1 / p)
+        else:
+            b, want = base + delta, delta
+        assert wp_general(make_sample(base), make_sample(b), p) == pytest.approx(want, rel=1e-12)
+
     def test_self_distance_zero(self):
         # the p > 1 minimum sits at the offset kink 0, where the integral is
         # evaluated exactly; an offset only near it would read > 0, magnified
@@ -413,7 +429,7 @@ class TestWpGeneral:
             with pytest.raises(ValueError, match="p must be"):
                 wp_general(a, b, p)
 
-    @pytest.mark.parametrize("p", (np.nan, np.inf))
+    @pytest.mark.parametrize("p", (np.nan, np.inf, np.nextafter(1000.0, np.inf)))
     def test_p_not_finite_error(self, p):
         a, b = random_discrete_pair(np.random.default_rng(48), 4)
         with pytest.raises(ValueError, match="p must be"):
