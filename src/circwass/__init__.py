@@ -33,7 +33,6 @@ from .harness import ExperimentConfig, MseTable, mse_ratio, run_experiment
 from .optimize import (
     BoxConstraints,
     OptimizerReport,
-    diff_evolution_min,
     powell_min,
     select_kth,
 )

@@ -73,13 +73,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--json", action="store_true")
     # EstimatorSpec holds the defaults; a flag given replaces its field
-    p.add_argument("--seed", type=int)
-    p.add_argument("--de-pop", type=int)
-    p.add_argument(
-        "--de-gens", type=int,
-        help="differential evolution generations before the local simplex search; "
-        "0 runs the local search alone, and a one-parameter search never runs DE",
-    )
     p.add_argument("--tol", type=float)
     p.add_argument("--D", dest="points", type=int, help="grid size (defaults to n)")
 

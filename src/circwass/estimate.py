@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .families import (
     param_box,
     vector_to_params,
 )
-from .optimize import BoxConstraints, OptimizerReport, diff_evolution_min, powell_min
+from .optimize import BoxConstraints, OptimizerReport, powell_min
 from .transport import (
     _check_p,
     _grid_values,
@@ -51,23 +52,15 @@ class EstimatorSpec:
     ``grid`` discretization is the order-1 CDF-grid objective (requires p=1);
     ``equal-mass`` places equal-weight atoms at the model's midpoint
     quantiles and works for any p in [1, 1000]; at p = 2 mu is solved exactly
-    and the search runs over the other parameters. A search over two or
-    more parameters is a Nelder-Mead simplex search (``powell_min``); with
-    ``de_gens > 0`` differential evolution runs first, and the simplex
-    search starts from its best point and from the sample moments, while
-    ``de_gens == 0`` starts it from the moments alone. A search over one
-    parameter (the vm and wc W2 fits) is Brent's method from the moments
-    and runs no DE whatever ``de_gens`` says. ``tol`` must be finite and
-    positive.
+    and the search runs over the other parameters. ``tol`` is the local
+    searches' tolerance and must be finite and positive; where the searches
+    start is fixed by the fit (see ``_minimize``).
     """
 
     p: float = 1.0
     discretization: str = "grid"  # "grid" or "equal-mass"
     points: int | None = None  # grid size D or atom count; defaults to n
-    de_pop: int | None = None
-    de_gens: int = 60
     tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         _check_p(self.p)
@@ -77,12 +70,8 @@ class EstimatorSpec:
             raise ValueError("grid discretization is only valid for p = 1")
         if self.points is not None and self.points < 1:
             raise ValueError("points must be >= 1")
-        if self.de_pop is not None and self.de_pop < 5:
-            raise ValueError("de_pop must be >= 5")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and > 0")
-        if self.de_gens < 0:
-            raise ValueError("de_gens must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -185,36 +174,62 @@ def mle_wrapped_cauchy(sample: CircularSample) -> FitResult:
     return _mle_result(FamilyParams("wc", mu=mu, rho=rho), sample, it, converged)
 
 
-def _moment_start(sample: CircularSample, family: str) -> np.ndarray:
+def _moment_start(sample: CircularSample, family: str) -> dict:
+    """Moment estimates of the family's mu, kappa and rho, by name; lambda
+    and epsilon have none."""
     mu, rbar = circular_mean_resultant(sample)
-    values = {"mu": mu, "lam": 0.0, "eps": 0.1}
-    if family in ("vm", "ssvm", "vm-contam"):
-        values["kappa"] = float(
-            np.clip(invert_bessel_ratio(min(rbar, 0.999)), *KAPPA_BOX)
-        )
-    if family == "wc":
-        values["rho"] = float(np.clip(rbar, 1e-6, 1.0 - 1e-6))
-    return np.array([values[p] for p in free_param_names(family)])
+    names = free_param_names(family)
+    start = {"mu": mu} if names else {}
+    if "kappa" in names:
+        start["kappa"] = float(np.clip(invert_bessel_ratio(min(rbar, 0.999)), *KAPPA_BOX))
+    if "rho" in names:
+        start["rho"] = float(np.clip(rbar, 1e-6, 1.0 - 1e-6))
+    return start
 
 
-def _minimize(objective, box: BoxConstraints, spec: EstimatorSpec, x0: np.ndarray) -> OptimizerReport:
-    if x0.size == 0:  # no free parameters: the fit is the family itself
+# the scan's levels of each parameter about its moment estimate m (None for
+# lambda and epsilon); the mu levels turn with the sample's mean direction
+_SCAN_LEVELS = {
+    "mu": lambda m: m + TWO_PI * np.arange(12) / 12,
+    "kappa": lambda m: np.unique(np.clip(m * 2.0 ** np.arange(-2, 3), *KAPPA_BOX)),
+    "rho": lambda m: np.unique(np.clip(m + np.array([-0.2, -0.1, 0.0, 0.1, 0.2]), *RHO_BOX)),
+    "lam": lambda m: np.array([-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]),
+    "eps": lambda m: np.array([0.0, 0.1, 0.25, 0.5]),
+}
+_SCAN_STARTS = 5
+
+
+def _minimize(objective, box: BoxConstraints, names, start: dict, spec: EstimatorSpec) -> OptimizerReport:
+    """Minimize objective over the box of the parameters ``names`` from the
+    moment estimates ``start``; the evaluations include the scan's.
+
+    A search over one parameter, and the grid W1 search over mu and kappa
+    or rho, run ``powell_min`` from the moments alone. Every other search
+    has a parameter without a moment estimate (lambda, epsilon) or
+    searches mu over equal-mass atoms (p other than 2), where the moment
+    start alone can stop in a worse basin. It evaluates the product of
+    ``_SCAN_LEVELS`` and runs ``powell_min`` from the ``_SCAN_STARTS``
+    lowest points, in stable order, keeping the best end.
+    """
+    if not names:  # no free parameters: the fit is the family itself
+        x0 = np.empty(0)
         return OptimizerReport(x0, float(objective(x0)), 1, True)
-    reports = []
-    if spec.de_gens > 0 and box.dim >= 2:
-        de = diff_evolution_min(
-            objective, box, pop=spec.de_pop, gens=spec.de_gens, seed=spec.seed
-        )
-        reports += [de, powell_min(objective, de.argmin, box, tol=spec.tol)]
-    reports.append(powell_min(objective, x0, box, tol=spec.tol))
+    if start.keys() >= set(names) and (len(names) == 1 or spec.discretization == "grid"):
+        return powell_min(objective, np.array([start[n] for n in names]), box, tol=spec.tol)
+    points = np.array(list(product(*(_SCAN_LEVELS[n](start.get(n)) for n in names))))
+    values = [objective(x) for x in points]
+    reports = [
+        powell_min(objective, points[i], box, tol=spec.tol)
+        for i in np.argsort(values, kind="stable")[:_SCAN_STARTS]
+    ]
     best = min(reports, key=lambda r: r.value)
-    evals = sum(r.evaluations for r in reports)
+    evals = len(points) + sum(r.evaluations for r in reports)
     return OptimizerReport(best.argmin, best.value, evals, best.converged)
 
 
 def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitResult:
     """Sine-skewed von Mises MLE by derivative-free maximization of the
-    average log-likelihood (no closed form exists)."""
+    average log-likelihood (no closed form exists), from a fixed scan."""
     if sample.n < 4:
         raise ValueError("need at least 4 observations")
     if spec is None:
@@ -226,7 +241,7 @@ def mle_ssvm(sample: CircularSample, spec: EstimatorSpec | None = None) -> FitRe
         return np.inf if np.any(np.isneginf(lp)) else -float(np.mean(lp))
 
     box = BoxConstraints(*param_box("ssvm"))
-    rep = _minimize(objective, box, spec, _moment_start(sample, "ssvm"))
+    rep = _minimize(objective, box, free_param_names("ssvm"), _moment_start(sample, "ssvm"), spec)
     if not np.isfinite(rep.value):
         raise ValueError("no feasible sine-skewed von Mises parameters found")
     return FitResult(vector_to_params("ssvm", rep.argmin), rep.value, rep.evaluations, rep.converged)
@@ -336,10 +351,10 @@ def wasserstein_fit(
     the other (shape) parameters, and the search runs over those alone."""
     if spec is None:
         spec = EstimatorSpec()
-    x0 = _moment_start(sample, family)
+    start, names = _moment_start(sample, family), free_param_names(family)
     lower, upper, periodic = param_box(family)
     # every family with free parameters has mu first
-    if spec.p == 2.0 and spec.discretization == "equal-mass" and x0.size > 0:
+    if spec.p == 2.0 and spec.discretization == "equal-mass" and names:
         m = _equal_mass_points(sample, spec)
 
         def profile(shape):
@@ -347,11 +362,11 @@ def wasserstein_fit(
             return _rotation_profile(sample.angles, _base_atoms(theta, m))
 
         box = BoxConstraints(lower[1:], upper[1:], periodic[1:])
-        rep = _minimize(lambda shape: math.sqrt(profile(shape)[0]), box, spec, x0[1:])
+        rep = _minimize(lambda shape: math.sqrt(profile(shape)[0]), box, names[1:], start, spec)
         vec = (profile(rep.argmin)[1], *rep.argmin)
     else:
         objective = _wasserstein_objective(sample, family, spec)
-        rep = _minimize(objective, BoxConstraints(lower, upper, periodic), spec, x0)
+        rep = _minimize(objective, BoxConstraints(lower, upper, periodic), names, start, spec)
         vec = rep.argmin
     return FitResult(vector_to_params(family, vec), rep.value, rep.evaluations, rep.converged)
 

@@ -53,10 +53,9 @@ def _estimator(name: str):
 
 def estimator_spec_from_name(name: str) -> EstimatorSpec:
     """The sweep's spec of a named estimator; the names are the keys of
-    ``_ESTIMATORS`` (case-insensitive). It runs the local search alone; the
-    sweep adds differential evolution for ssvm."""
+    ``_ESTIMATORS`` (case-insensitive). Every family's sweep uses it."""
     # tol 1e-6 keeps desk-scale sweeps fast; Monte Carlo noise dominates it
-    return EstimatorSpec(**(_estimator(name)[1] or {}), de_gens=0, tol=1e-6)
+    return EstimatorSpec(**(_estimator(name)[1] or {}), tol=1e-6)
 
 
 @dataclass(frozen=True)
@@ -214,12 +213,8 @@ def _run_cell(cfg: ExperimentConfig, si: int, ri: int) -> list:
     names = free_param_names(cfg.fit_family)
     truth = [getattr(theta_sample, name) for name in names]
     out = []
-    for ei, est_name in enumerate(cfg.estimators):
+    for est_name in cfg.estimators:
         spec = estimator_spec_from_name(est_name)
-        if cfg.fit_family == "ssvm":
-            # skewness has no moment start; a small global search is needed
-            spec = replace(spec, de_pop=18, de_gens=40)
-        spec = replace(spec, seed=int(np.random.SeedSequence([cfg.master_seed, si, ri, 7000 + ei]).generate_state(1)[0]))
         try:
             if _estimator(est_name)[1] is None:
                 theta_hat = fit_mle(sample, cfg.fit_family, spec)

@@ -1,10 +1,9 @@
 """Selection and derivative-free minimization over a parameter box.
 
-``select_kth`` is numpy's introselect. ``powell_min`` and
-``diff_evolution_min`` adapt scipy's Nelder-Mead simplex search (Brent's
-method in one dimension) and rand/1/bin differential evolution to
+``select_kth`` is numpy's introselect. ``powell_min`` adapts scipy's
+Nelder-Mead simplex search (Brent's method in one dimension) to
 ``BoxConstraints``, whose periodic dimensions wrap. scipy.optimize is
-imported inside them, so ``import circwass`` does not load it.
+imported inside it, so ``import circwass`` does not load it.
 """
 
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ __all__ = [
     "OptimizerReport",
     "select_kth",
     "powell_min",
-    "diff_evolution_min",
 ]
 
 
@@ -183,32 +181,3 @@ def _brent_min(fc, x: float, lo: float, hi: float, tol: float, max_iter: int) ->
     # no iteration: the bracket failed, which happens only where f is flat
     # around x, and x is then as good as any point seen
     return bool(res.success) or res.nit == 0
-
-
-def diff_evolution_min(
-    f,
-    box: BoxConstraints,
-    pop: int | None = None,
-    gens: int = 300,
-    seed=0,
-) -> OptimizerReport:
-    """scipy's rand/1/bin differential evolution (F 0.7, CR 0.9) for gens
-    generations, pop*(gens + 1) evaluations unless the population becomes
-    uniform. Deterministic given the seed; periodic dimensions are searched
-    over their box span.
-    """
-    from scipy.optimize import differential_evolution
-
-    dim = box.dim
-    if pop is None:
-        pop = 15 * dim
-    if pop < 5:
-        raise ValueError("population must be at least 5")
-    rng = np.random.default_rng(seed)
-    init = box.lower + rng.uniform(0.0, 1.0, (pop, dim)) * (box.upper - box.lower)
-    res = differential_evolution(
-        f, list(zip(box.lower, box.upper)), strategy="rand1bin",
-        maxiter=gens, init=init, mutation=0.7, recombination=0.9, tol=0.0,
-        polish=False, rng=rng,
-    )
-    return OptimizerReport(box.project(res.x), float(res.fun), int(res.nfev), True)

@@ -1,5 +1,5 @@
-"""The benchmark's gated workloads, and mc-ssvm, the only one that runs
-differential evolution, still run end to end on this checkout.
+"""The benchmark's gated workloads, and mc-ssvm, the only one whose fits
+run the scan start, still run end to end on this checkout.
 
 `bench/run.py` reads the package's public names and ends with one JSON
 result line; a traceback anywhere in a run leaves that line out. One traced

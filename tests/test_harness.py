@@ -186,19 +186,19 @@ class TestRunExperiment:
 
 
 class TestSweepPolicy:
-    # the local search alone, or differential evolution first where the family needs it
+    # every family runs the estimator's sweep spec; the fit itself picks a
+    # local search from the moments (vm, wc) or a scan (ssvm)
     @pytest.mark.parametrize(
-        "theta0,de_pop,de_gens",
+        "theta0",
         (
-            pytest.param(FamilyParams("vm", mu=0.3, kappa=2.0), None, 0, id="theta00-powell"),
-            pytest.param(FamilyParams("wc", mu=0.3, rho=0.4), None, 0, id="theta01-powell"),
-            pytest.param(FamilyParams("vm-contam", mu=0.3, kappa=2.0, eps=0.1), None, 0,
+            pytest.param(FamilyParams("vm", mu=0.3, kappa=2.0), id="theta00-powell"),
+            pytest.param(FamilyParams("wc", mu=0.3, rho=0.4), id="theta01-powell"),
+            pytest.param(FamilyParams("vm-contam", mu=0.3, kappa=2.0, eps=0.1),
                          id="theta02-powell"),
-            pytest.param(FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5), 18, 40,
-                         id="theta03-de+powell"),
+            pytest.param(FamilyParams("ssvm", mu=0.3, kappa=2.0, lam=0.5), id="theta03-scan"),
         ),
     )
-    def test_spec_per_family(self, monkeypatch, theta0, de_pop, de_gens):
+    def test_spec_per_family(self, monkeypatch, theta0):
         calls = []
 
         def recorder(fit):
@@ -213,8 +213,9 @@ class TestSweepPolicy:
                           estimators=("mle", "w1", "w2"))
         run_experiment(cfg)
         assert [fit for fit, _ in calls] == ["fit_mle", "wasserstein_fit", "wasserstein_fit"]
-        for _, spec in calls:
-            assert (spec.tol, spec.de_pop, spec.de_gens) == (1e-6, de_pop, de_gens)
+        for (_, spec), name in zip(calls, cfg.estimators):
+            assert spec == estimator_spec_from_name(name)
+            assert spec.tol == 1e-6
 
 
 class TestMseTable:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from circwass import (
     BoxConstraints,
     circ_dist,
-    diff_evolution_min,
     powell_min,
     select_kth,
 )
@@ -233,44 +232,3 @@ class TestPowellOneDim:
         assert (rep.argmin[0], rep.value, rep.converged) == (0.5, 1.0, True)
         assert rep.evaluations == len(calls) <= 5
 
-
-class TestDiffEvolution:
-    def test_constant(self):
-        rep = diff_evolution_min(lambda x: 7.0, _plain_box(2, 0.0, 1.0), pop=8, gens=5, seed=1)
-        assert rep.value == 7.0
-
-    def test_easy_quadratic(self):
-        rep = diff_evolution_min(
-            lambda x: float((x[0] - 0.5) ** 2), _plain_box(1, 0.0, 1.0), pop=16, gens=50, seed=2
-        )
-        assert rep.value <= 1e-6
-
-    def test_multimodal_grid_scan_oracle(self):
-        f = lambda x: float(np.sin(5.0 * x[0]) + 0.1 * x[0] ** 2)
-        grid = np.linspace(-3.0, 3.0, 1_000_001)
-        ref = float(np.min(np.sin(5.0 * grid) + 0.1 * grid**2))
-        rep = diff_evolution_min(f, _plain_box(1, -3.0, 3.0), pop=20, gens=80, seed=3)
-        assert rep.value == pytest.approx(ref, abs=1e-3)
-
-    def test_deterministic(self):
-        f = lambda x: float(np.sum(x**2))
-        r1 = diff_evolution_min(f, _plain_box(3, -1.0, 1.0), pop=12, gens=20, seed=7)
-        r2 = diff_evolution_min(f, _plain_box(3, -1.0, 1.0), pop=12, gens=20, seed=7)
-        assert np.array_equal(r1.argmin, r2.argmin) and r1.value == r2.value
-
-    def test_monotone_best_trace(self):
-        trace = []
-        best = [np.inf]
-
-        def f(x):
-            v = float(np.sum((x - 0.3) ** 2))
-            best[0] = min(best[0], v)
-            trace.append(best[0])
-            return v
-
-        diff_evolution_min(f, _plain_box(2, -1.0, 1.0), pop=10, gens=30, seed=4)
-        assert np.all(np.diff(trace) <= 0.0)
-
-    def test_pop_too_small(self):
-        with pytest.raises(ValueError):
-            diff_evolution_min(lambda x: 0.0, _plain_box(1), pop=3, gens=1, seed=0)
