@@ -75,12 +75,25 @@ def make_sample(raw) -> CircularSample:
 
 
 def load_sample(path) -> CircularSample:
-    """Read a sample file: one angle (radians) per line, '#' comments ignored;
-    a line that is not one number raises ValueError."""
+    """Read a sample file: one angle (radians) per line, whitespace around it
+    allowed, blank lines and '#' comments ignored; a line that is not one
+    number raises ValueError.
+
+    The whole file is converted in one numpy call. Only if that fails are
+    the lines stripped, blank and '#' lines dropped and the rest converted
+    again; files written by `save_sample` have no blank or comment lines,
+    so they never take that second pass."""
     with open(path) as fh:
         lines = fh.read().split("\n")
-    values = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-    return make_sample(np.array(values, dtype=float))
+    if lines[-1] == "":
+        lines.pop()
+    try:
+        values = np.array(lines, dtype=float)
+    except ValueError:
+        # a blank, comment or bad line: written files have none of these
+        kept = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+        values = np.array(kept, dtype=float)
+    return make_sample(values)
 
 
 def save_sample(sample: CircularSample, path) -> None:

@@ -3,7 +3,8 @@
 Subcommands: ``sample`` (generate data), ``dist`` (distance between two
 sample files), ``fit`` (run an estimator), ``fisher`` (print a Fisher
 matrix), ``experiment`` (Monte Carlo sweep to CSV). Exit codes: 0 success,
-1 usage error, 2 numerical failure or unreadable input.
+1 usage error, 2 numerical failure, unreadable input or a request too large
+for memory.
 """
 
 import argparse
@@ -175,7 +176,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

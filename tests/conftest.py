@@ -18,7 +18,7 @@ from hypothesis import settings
 from scipy import integrate
 
 import circwass
-from circwass import DiscreteCircularDist, circ_dist, family_logpdf, family_pdf
+from circwass import DiscreteCircularDist, circ_dist, family_logpdf, family_pdf, make_sample
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,6 +42,16 @@ def scipy_modules_after(code: str) -> list:
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120
     ).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def load_sample_by_lines(path):
+    """A sample file read line by line: each line stripped, blank and '#'
+    lines dropped, the rest converted together. The reference that
+    `load_sample`'s one-conversion read must match in bytes and errors."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    values = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+    return make_sample(np.array(values, dtype=float))
 
 
 def convex_min_1d(f, lo: float, hi: float, tol: float = 1e-10):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circwass import (
     CircularSample,
@@ -12,7 +14,7 @@ from circwass import (
 )
 from circwass.circular import TWO_PI, save_sample
 
-from conftest import empirical_cdf
+from conftest import empirical_cdf, load_sample_by_lines
 
 
 class TestCircDist:
@@ -152,7 +154,51 @@ class TestDiscreteFromSample:
             DiscreteCircularDist(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
 
 
+# '\x1c' is whitespace to str.strip but not to float
+_pad = st.text(st.sampled_from(" \t\r\x0c\x1c"), max_size=3)
+_number = st.one_of(
+    st.floats(-10.0, 20.0),
+    st.sampled_from((0.0, float(np.nextafter(TWO_PI, 0.0)), -0.0, -1.5, 7.0)),
+).map(repr)
+# every kind of line a sample file may hold, good or bad, padded or not
+_line = st.one_of(
+    st.tuples(
+        _pad,
+        st.one_of(
+            _number,
+            st.tuples(_number, _number).map(" ".join),
+            st.sampled_from(("#", "# angles", "#0.5", "junk", "nan", "inf", "-inf", "0.5x")),
+        ),
+        _pad,
+    ).map("".join),
+    _pad,
+)
+_sample_text = st.tuples(
+    st.lists(_line, max_size=8).map("\n".join), st.sampled_from(("", "\n"))
+).map("".join)
+
+
+def _load_or_error(load, path):
+    try:
+        return load(path).angles.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestSampleIo:
+    @given(text=_sample_text)
+    @example(text="")
+    @example(text="\n")
+    @example(text="# only a comment\n")
+    @example(text="0.5\r\n1.25\r\n")
+    @settings(max_examples=300)
+    def test_matches_line_filter(self, tmp_path_factory, text):
+        # the one-conversion read and the line filter accept the same files
+        # with the same bytes, and refuse the rest with the same message
+        path = tmp_path_factory.mktemp("io") / "s.txt"
+        path.write_text(text, newline="")
+        assert _load_or_error(load_sample, path) == _load_or_error(load_sample_by_lines, path)
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         s = make_sample(rng.uniform(0.0, TWO_PI, 64))

@@ -200,17 +200,30 @@ def _dist_files(draw):
     return a, one(len(a) if draw(st.booleans()) else None)
 
 
+# the same angles written the ways a hand-made file may hold them
+_LAYOUTS = {
+    "crlf": lambda xs: "".join(f"{v!r}\r\n" for v in xs),
+    "no final newline": lambda xs: "\n".join(map(repr, xs)),
+    "comments and blanks": lambda xs: "# angles\n" + "".join(
+        f"{v!r}\n" + ("\n" if i % 2 else "  # next\n") for i, v in enumerate(xs)
+    ),
+    "padded": lambda xs: "".join(f" \t{v!r} \x0c\n" for v in xs),
+}
+
+
 class TestDistFuzz:
     """Every p the CLI accepts gives a finite, symmetric W_p within the
-    circle's diameter pi; a p above 1000 is refused with one error line."""
+    circle's diameter pi; a p above 1000 is refused with one error line.
+    The same angles laid out another way print the same value."""
 
-    @given(_dist_files())
+    @given(_dist_files(), st.sampled_from(sorted(_LAYOUTS)))
     @settings(max_examples=80)
-    def test_dist_outputs(self, tmp_path_factory, files):
+    def test_dist_outputs(self, tmp_path_factory, files, layout):
         folder = tmp_path_factory.mktemp("dist")
-        a, b = (str(folder / name) for name in ("a.txt", "b.txt"))
-        for path, angles in zip((a, b), files):
+        a, b, a2, b2 = (str(folder / name) for name in ("a.txt", "b.txt", "a2.txt", "b2.txt"))
+        for path, laid_out, angles in zip((a, b), (a2, b2), files):
             Path(path).write_text("".join(f"{v!r}\n" for v in angles))
+            Path(laid_out).write_text(_LAYOUTS[layout](angles), newline="")
 
         def dist(x, y, p):
             out, err = io.StringIO(), io.StringIO()
@@ -222,15 +235,17 @@ class TestDistFuzz:
                 assert err.getvalue().count("\n") == 1
                 return None
             assert code == 0, err.getvalue()
-            return float(out.getvalue())
+            return out.getvalue()
 
         for p in (1.0, 1.5, 2.0, 3.0, 50.0, 800.0, 1e300):
-            w = dist(a, b, p)
-            if w is None:
+            printed = dist(a, b, p)
+            if printed is None:
                 continue
+            assert dist(a2, b2, p) == printed
+            w = float(printed)
             assert np.isfinite(w) and 0.0 <= w <= np.pi + 1e-12
-            assert dist(b, a, p) == w
-            assert dist(a, a, p) <= 1e-15
+            assert float(dist(b, a, p)) == w
+            assert float(dist(a, a, p)) <= 1e-15
 
 
 @st.composite
@@ -591,6 +606,25 @@ class TestDirectoryInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestTooLargeForMemory:
+    # 10^15 eight-byte values are 8 PB, more than any address space maps,
+    # so numpy refuses each request before allocating anything
+    @pytest.mark.parametrize("command", ("dist", "fit", "sample"))
+    def test_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "a.txt"
+        path.write_text("0.1\n0.2\n0.3\n")
+        huge = str(10**15)
+        argv = {
+            "dist": ("dist", str(path), str(path), "--method", "grid", "--grid-size", huge),
+            "fit": ("fit", "--family", "vm", "--estimator", "w1", "--data", str(path), "--D", huge),
+            "sample": ("sample", "--family", "uniform", "--n", huge),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestModuleEntry:
